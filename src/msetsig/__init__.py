@@ -36,7 +36,7 @@ from .ops import (
     signify,
     union,
 )
-from .signal import GEN_KINDS, Signal, SignSeries, gen, make_signal, shift
+from .signal import GEN_KINDS, Signal, SignSeries, gen, shift
 
 __version__ = "0.1.0"
 
@@ -63,7 +63,6 @@ __all__ = [
     "intersection",
     "jaccard_index",
     "kernel_backend",
-    "make_signal",
     "parse",
     "peak_metrics",
     "pretty_print",

@@ -13,8 +13,8 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .. import ops
 from ..errors import BadParam, ShapeMismatch
+from ..ops import OPS
 from ..signal import Signal, SignSeries
 from .netlist import Netlist
 from .sim import SimTrace, simulate
@@ -28,24 +28,10 @@ def math_reference(net: Netlist, inputs: Mapping[str, Signal]) -> Signal:
     """
     if net.kind is None:
         raise BadParam("netlist carries no operation tag; pass an explicit reference")
-    bound = [inputs[name] for name in net.inputs]
-    f = bound[0]
-    if net.kind == "sign":
-        return Signal(f.dt, f.t0, ops.sign_fn(f).values)
-    if net.kind == "absolute":
-        return ops.absolute(f)
-    g = bound[1]
-    if net.kind == "intersection":
-        return ops.intersection(f, g)
-    if net.kind == "union":
-        return ops.union(f, g)
-    if net.kind == "conjoint_sign":
-        return Signal(f.dt, f.t0, ops.conjoint_sign(f, g).values)
-    if net.kind == "signify":
-        return ops.signify(f, SignSeries(g.dt, g.t0, g.samples))
-    if net.kind == "common_product":
-        return ops.common_product(f, g)
-    raise BadParam(f"no reference for netlist kind {net.kind!r}")
+    if net.kind not in OPS:
+        raise BadParam(f"no reference for netlist kind {net.kind!r}")
+    out = OPS[net.kind][1](*(inputs[name] for name in net.inputs))
+    return Signal(out.dt, out.t0, out.values) if isinstance(out, SignSeries) else out
 
 
 def compare_to_math(trace: SimTrace, reference: Signal) -> Dict[str, object]:

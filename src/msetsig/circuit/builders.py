@@ -24,15 +24,52 @@ from typing import Optional
 from ..errors import BadParam
 from .netlist import GROUND, Component, ComponentParams, Netlist
 
-NETLIST_KINDS = (
-    "sign",
-    "intersection",
-    "union",
-    "absolute",
-    "conjoint_sign",
-    "signify",
-    "common_product",
-)
+# Operation -> (input nodes, components as (type, output, *inputs)). Every
+# topology drives node "out".
+_TOPOLOGIES = {
+    "sign": (("f",), (("comparator", "out", "f", GROUND),)),
+    "intersection": (("f", "g"), (
+        ("comparator", "c1", "g", "f"),
+        ("analog_switch", "out", "f", "g", "c1"),
+    )),
+    "union": (("f", "g"), (
+        ("comparator", "c1", "f", "g"),
+        ("analog_switch", "out", "f", "g", "c1"),
+    )),
+    "absolute": (("f",), (
+        ("comparator", "c1", "f", GROUND),
+        ("inverting_amp", "a1", "f"),
+        ("analog_switch", "out", "f", "a1", "c1"),
+    )),
+    "conjoint_sign": (("f", "g"), (
+        ("comparator", "c1", "f", GROUND),
+        ("comparator", "c2", "g", GROUND),
+        ("equivalence_gate", "out", "c1", "c2"),
+    )),
+    "signify": (("a", "s"), (
+        ("inverting_amp", "a1", "a"),
+        ("analog_switch", "out", "a", "a1", "s"),
+    )),
+    # Full common product: two absolute-value branches, a minimum stage, a
+    # dedicated sign-measurement pair into the equivalence gate, and a final
+    # signification switch.
+    "common_product": (("f", "g"), (
+        ("comparator", "c1", "f", GROUND),
+        ("inverting_amp", "a1", "f"),
+        ("analog_switch", "s1", "f", "a1", "c1"),
+        ("comparator", "c2", "g", GROUND),
+        ("inverting_amp", "a2", "g"),
+        ("analog_switch", "s2", "g", "a2", "c2"),
+        ("comparator", "c5", "s2", "s1"),
+        ("analog_switch", "s3", "s1", "s2", "c5"),
+        ("comparator", "c3", "f", GROUND),
+        ("comparator", "c4", "g", GROUND),
+        ("equivalence_gate", "e1", "c3", "c4"),
+        ("inverting_amp", "a3", "s3"),
+        ("analog_switch", "out", "s3", "a3", "e1"),
+    )),
+}
+NETLIST_KINDS = tuple(_TOPOLOGIES)
 
 
 def _balance_delays(inputs, components, output):
@@ -77,75 +114,10 @@ def build_netlist(kind: str, params: Optional[ComponentParams] = None) -> Netlis
     if kind not in NETLIST_KINDS:
         raise BadParam(f"unknown netlist kind {kind!r}")
     p = params if params is not None else ComponentParams()
-
-    def comp(ctype, out, *ins, **extra):
-        return Component(ctype, out, tuple(ins), p, **extra)
-
-    if kind == "sign":
-        inputs = ("f",)
-        parts = [comp("comparator", "out", "f", GROUND)]
-        output = "out"
-    elif kind == "intersection":
-        inputs = ("f", "g")
-        parts = [
-            comp("comparator", "c1", "g", "f"),
-            comp("analog_switch", "out", "f", "g", "c1"),
-        ]
-        output = "out"
-    elif kind == "union":
-        inputs = ("f", "g")
-        parts = [
-            comp("comparator", "c1", "f", "g"),
-            comp("analog_switch", "out", "f", "g", "c1"),
-        ]
-        output = "out"
-    elif kind == "absolute":
-        inputs = ("f",)
-        parts = [
-            comp("comparator", "c1", "f", GROUND),
-            comp("inverting_amp", "a1", "f"),
-            comp("analog_switch", "out", "f", "a1", "c1"),
-        ]
-        output = "out"
-    elif kind == "conjoint_sign":
-        inputs = ("f", "g")
-        parts = [
-            comp("comparator", "c1", "f", GROUND),
-            comp("comparator", "c2", "g", GROUND),
-            comp("equivalence_gate", "out", "c1", "c2"),
-        ]
-        output = "out"
-    elif kind == "signify":
-        inputs = ("a", "s")
-        parts = [
-            comp("inverting_amp", "a1", "a"),
-            comp("analog_switch", "out", "a", "a1", "s"),
-        ]
-        output = "out"
-    else:
-        # Full common product: two absolute-value branches, a minimum stage,
-        # a dedicated sign-measurement pair into the equivalence gate, and a
-        # final signification switch.
-        inputs = ("f", "g")
-        parts = [
-            comp("comparator", "c1", "f", GROUND),
-            comp("inverting_amp", "a1", "f"),
-            comp("analog_switch", "s1", "f", "a1", "c1"),
-            comp("comparator", "c2", "g", GROUND),
-            comp("inverting_amp", "a2", "g"),
-            comp("analog_switch", "s2", "g", "a2", "c2"),
-            comp("comparator", "c5", "s2", "s1"),
-            comp("analog_switch", "s3", "s1", "s2", "c5"),
-            comp("comparator", "c3", "f", GROUND),
-            comp("comparator", "c4", "g", GROUND),
-            comp("equivalence_gate", "e1", "c3", "c4"),
-            comp("inverting_amp", "a3", "s3"),
-            comp("analog_switch", "out", "s3", "a3", "e1"),
-        ]
-        output = "out"
-
-    balanced, _ = _balance_delays(inputs, parts, output)
-    return Netlist(inputs, tuple(balanced), output, kind)
+    inputs, parts = _TOPOLOGIES[kind]
+    comps = [Component(ctype, out, tuple(ins), p) for ctype, out, *ins in parts]
+    balanced, _ = _balance_delays(inputs, comps, "out")
+    return Netlist(inputs, tuple(balanced), "out", kind)
 
 
 def output_latency(net: Netlist) -> int:

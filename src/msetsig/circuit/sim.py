@@ -25,8 +25,8 @@ from typing import Dict, Mapping
 import numpy as np
 
 from .. import _kernels
-from ..errors import BadParam, MetadataMismatch, ShapeMismatch, UnboundInput
-from ..signal import Signal
+from ..errors import BadParam, MetadataMismatch, UnboundInput
+from ..signal import Signal, check_same_shape
 from .netlist import GROUND, Component, Netlist
 
 
@@ -133,11 +133,8 @@ def simulate(net: Netlist, inputs: Mapping[str, Signal], oversample: int = 1) ->
     unknown = set(inputs) - set(net.inputs)
     if unknown:
         raise BadParam(f"binding for undeclared input {sorted(unknown)[0]!r}")
+    check_same_shape(*(inputs[name] for name in net.inputs), error=MetadataMismatch)
     first = inputs[net.inputs[0]]
-    for name in net.inputs:
-        sig = inputs[name]
-        if (len(sig), sig.dt, sig.t0) != (len(first), first.dt, first.t0):
-            raise MetadataMismatch(f"input {name!r} does not match {net.inputs[0]!r}")
 
     n = len(first) * oversample
     dt_sim = first.dt / oversample

@@ -29,18 +29,7 @@ from .circuit import (
     switching_noise_rms,
 )
 from .errors import MsetError
-from .signal import GEN_KINDS, Signal, SignSeries, gen
-
-OP_NAMES = (
-    "complement",
-    "sign",
-    "conjoint_sign",
-    "intersection",
-    "union",
-    "absolute",
-    "signify",
-    "common_product",
-)
+from .signal import GEN_KINDS, Signal, gen
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,28 +106,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_op(args) -> int:
-    binary = args.name not in ("complement", "sign", "absolute")
-    if binary and args.b is None:
+    arity, fn = ops.OPS[args.name]
+    if arity == 2 and args.b is None:
         args.parser.error(f"--name {args.name} requires --b")
-    a = sio.read_csv(args.a)
-    if args.name == "complement":
-        out = ops.complement(a)
-    elif args.name == "sign":
-        out = ops.sign_fn(a)
-    elif args.name == "absolute":
-        out = ops.absolute(a)
-    else:
-        b = sio.read_csv(args.b)
-        if args.name == "conjoint_sign":
-            out = ops.conjoint_sign(a, b)
-        elif args.name == "intersection":
-            out = ops.intersection(a, b)
-        elif args.name == "union":
-            out = ops.union(a, b)
-        elif args.name == "signify":
-            out = ops.signify(a, SignSeries(b.dt, b.t0, b.samples))
-        else:
-            out = ops.common_product(a, b)
+    out = fn(*(sio.read_csv(path) for path in (args.a, args.b)[:arity]))
     sio.write_csv(args.out, out)
     if args.svg:
         _write_svg(args.svg, [_signal_series(args.name, out)], "op")
@@ -262,7 +233,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_gen, parser=p)
 
     p = sub.add_parser("op", help="apply one signal operation")
-    p.add_argument("--name", choices=OP_NAMES, required=True)
+    p.add_argument("--name", choices=tuple(ops.OPS), required=True)
     p.add_argument("--a", required=True)
     p.add_argument("--b", default=None)
     p.add_argument("--out", required=True)

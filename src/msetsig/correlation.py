@@ -50,8 +50,7 @@ class CorrelationResult:
             raise BadParam("correlation result must be nonempty")
         if lags.size > 1 and not np.all(np.diff(lags) == 1):
             raise BadParam("lags must be contiguous and strictly increasing")
-        if not np.all(np.isfinite(values)):
-            raise BadParam("correlation values must be finite")
+        _finite(values, "correlation values")
         if self.mode not in CORR_MODES:
             raise BadParam(f"unknown mode {self.mode!r}")
         lags.setflags(write=False)
@@ -86,16 +85,31 @@ class PeakMetrics:
     secondary_ratio: float
 
 
+def _finite(value, what: str):
+    """Return value, or raise BadParam if any element of it overflowed or is NaN."""
+    if not np.all(np.isfinite(value)):
+        raise BadParam(f"{what} must be finite")
+    return value
+
+
 def common_functional(f: Signal, g: Signal) -> float:
-    """Integral of the elementwise common product over the shared support."""
+    """Integral of the elementwise common product over the shared support.
+
+    Raises:
+        BadParam: the integral overflows.
+    """
     cp = common_product(f, g)
-    return float(np.sum(cp.samples) * f.dt)
+    return _finite(float(np.sum(cp.samples) * f.dt), "common functional")
 
 
 def classic_functional(f: Signal, g: Signal) -> float:
-    """Plain inner product with the dt measure: sum of f*g times dt."""
+    """Plain inner product with the dt measure: sum of f*g times dt.
+
+    Raises:
+        BadParam: the integral overflows.
+    """
     check_same_shape(f, g)
-    return float(np.sum(f.samples * g.samples) * f.dt)
+    return _finite(float(np.sum(f.samples * g.samples) * f.dt), "classic functional")
 
 
 def cross_correlate(f: Signal, g: Signal, kind: str = "common", mode: str = "full") -> CorrelationResult:
@@ -134,9 +148,11 @@ def jaccard_index(f: Signal, g: Signal) -> float:
 
     Raises:
         DegenerateDenominator: both signals are identically zero.
+        BadParam: either integral overflows.
     """
     num = common_functional(f, g)
-    den = float(np.sum(np.maximum(np.abs(f.samples), np.abs(g.samples))) * f.dt)
+    den = np.sum(np.maximum(np.abs(f.samples), np.abs(g.samples))) * f.dt
+    den = _finite(float(den), "integral of max(|f|, |g|)")
     if den == 0.0:
         raise DegenerateDenominator("both signals are identically zero")
     return num / den
@@ -160,21 +176,22 @@ def peak_metrics(r: CorrelationResult) -> PeakMetrics:
     """Locate the maximum value and measure its width at half height.
 
     Raises:
-        FlatResult: all values are equal, so there is no peak.
+        FlatResult: all values are equal, or none is positive, so there is
+            no peak to measure at half height.
     """
     values = r.values
     if np.all(values == values[0]):
         raise FlatResult("all correlation values are equal")
     peak_idx = int(np.argmax(values))
     peak_value = float(values[peak_idx])
+    if peak_value <= 0.0:
+        raise FlatResult(f"largest correlation value {peak_value!r} is not positive")
     level = peak_value / 2.0
     left = _half_crossing(r.lags, values, peak_idx, level, -1)
     right = _half_crossing(r.lags, values, peak_idx, level, +1)
     outside = (r.lags < left) | (r.lags > right)
     if not np.any(outside):
         secondary = 0.0
-    elif peak_value == 0.0:
-        secondary = float("inf")
     else:
         secondary = float(np.max(np.abs(values[outside])) / peak_value)
     return PeakMetrics(

@@ -21,42 +21,56 @@ Grammar (EBNF):
 ``parse`` builds an AST, ``evaluate`` runs it elementwise over an
 Environment of equally shaped signals, and ``pretty_print`` emits a fully
 parenthesized canonical form with the round-trip guarantee
-parse(pretty_print(a)) == a.
+parse(pretty_print(a)) == a for every AST that ``parse`` returns. None of
+them recurses, so neither long input nor a deep tree can exhaust the
+interpreter stack.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import sys
 from dataclasses import dataclass
 from typing import Mapping, Union
 
 import numpy as np
 
 from . import ops
-from .errors import (
-    BadParam,
-    DepthExceeded,
-    ExprSyntaxError,
-    ShapeMismatch,
-    UnboundVariable,
-)
-from .signal import Signal
+from .errors import BadParam, DepthExceeded, ExprSyntaxError, UnboundVariable
+from .signal import Signal, check_same_shape
 
 MAX_DEPTH = 256
-CALL_NAMES = ("sin", "cos", "abs", "sign")
-UNARY_OPS = ("neg", "complement")
-BINARY_OPS = ("add", "sub", "mul", "intersect", "union", "cprod")
 
-_BINARY_SYMBOL = {
-    "add": "+",
-    "sub": "-",
-    "mul": "*",
-    "intersect": "/\\",
-    "union": "\\/",
-    "cprod": "<>",
+
+def _lift(fn):
+    """An elementwise numpy function applied to Signal operands."""
+    return lambda first, *rest: first.with_samples(fn(first.samples, *(r.samples for r in rest)))
+
+
+_PREFIX, _POSTFIX, _CALL = 5, 6, 7
+
+# name -> (symbol, precedence, function). Precedence 1-4 are the binary,
+# left-associative levels from loosest to tightest; then come prefix minus,
+# postfix ~ and calls, whose symbol is the function name.
+OPERATORS = {
+    "add": ("+", 3, _lift(np.add)),
+    "sub": ("-", 3, _lift(np.subtract)),
+    "mul": ("*", 4, _lift(np.multiply)),
+    "intersect": ("/\\", 2, ops.intersection),
+    "union": ("\\/", 1, ops.union),
+    "cprod": ("<>", 4, ops.common_product),
+    "neg": ("-", _PREFIX, _lift(np.negative)),
+    "complement": ("~", _POSTFIX, ops.complement),
+    "sin": ("sin", _CALL, _lift(np.sin)),
+    "cos": ("cos", _CALL, _lift(np.cos)),
+    "abs": ("abs", _CALL, ops.absolute),
+    "sign": ("sign", _CALL, _lift(ops._signs)),
 }
+BINARY_OPS = tuple(name for name, (_, prec, _) in OPERATORS.items() if prec < _PREFIX)
+UNARY_OPS = tuple(name for name, (_, prec, _) in OPERATORS.items() if prec in (_PREFIX, _POSTFIX))
+CALL_NAMES = tuple(name for name, (_, prec, _) in OPERATORS.items() if prec == _CALL)
+_BINARY_BY_SYMBOL = {OPERATORS[name][0]: name for name in BINARY_OPS}
+_LAYOUT = {_PREFIX: "{s}{0}", _POSTFIX: "({0}){s}", _CALL: "{s}({0})"}
 
 
 @dataclass(frozen=True)
@@ -120,11 +134,8 @@ class Environment:
         for name, sig in items.items():
             if not isinstance(sig, Signal):
                 raise BadParam(f"binding {name!r} is not a Signal")
-        first = next(iter(items.values()), None)
-        if first is not None:
-            for name, sig in items.items():
-                if (len(sig), sig.dt, sig.t0) != (len(first), first.dt, first.t0):
-                    raise ShapeMismatch(f"binding {name!r} does not match the others")
+        if items:
+            check_same_shape(*items.values())
         self._bindings = items
 
     def __contains__(self, name: str) -> bool:
@@ -173,136 +184,115 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self._tokens = _tokenize(text)
-        self._pos = 0
-        self._depth = 0
-
-    def _peek(self) -> tuple[str, str, int]:
-        return self._tokens[self._pos]
-
-    def _advance(self) -> tuple[str, str, int]:
-        tok = self._tokens[self._pos]
-        self._pos += 1
-        return tok
-
-    def _fail(self, expected: str):
-        kind, text, offset = self._peek()
-        got = "end of input" if kind == "end" else repr(text)
-        raise ExprSyntaxError(f"expected {expected}, got {got}", offset)
-
-    def _enter(self):
-        self._depth += 1
-        if self._depth > MAX_DEPTH:
-            raise DepthExceeded(f"expression nesting exceeds {MAX_DEPTH}")
-
-    def parse(self) -> Expr:
-        node = self._union()
-        if self._peek()[0] != "end":
-            self._fail("end of input")
-        return node
-
-    def _union(self) -> Expr:
-        self._enter()
-        try:
-            node = self._inter()
-            while self._peek()[0] == "\\/":
-                self._advance()
-                node = Binary("union", node, self._inter())
-            return node
-        finally:
-            self._depth -= 1
-
-    def _inter(self) -> Expr:
-        node = self._addsub()
-        while self._peek()[0] == "/\\":
-            self._advance()
-            node = Binary("intersect", node, self._addsub())
-        return node
-
-    def _addsub(self) -> Expr:
-        node = self._term()
-        while self._peek()[0] in ("+", "-"):
-            op = self._advance()[0]
-            node = Binary("add" if op == "+" else "sub", node, self._term())
-        return node
-
-    def _term(self) -> Expr:
-        node = self._unary()
-        while self._peek()[0] in ("*", "<>"):
-            op = self._advance()[0]
-            node = Binary("mul" if op == "*" else "cprod", node, self._unary())
-        return node
-
-    def _unary(self) -> Expr:
-        if self._peek()[0] == "-":
-            self._advance()
-            self._enter()
-            try:
-                return Unary("neg", self._unary())
-            finally:
-                self._depth -= 1
-        return self._postfix()
-
-    def _postfix(self) -> Expr:
-        node = self._atom()
-        while self._peek()[0] == "~":
-            self._advance()
-            node = Unary("complement", node)
-        return node
-
-    def _atom(self) -> Expr:
-        kind, text, offset = self._peek()
-        if kind == "number":
-            self._advance()
-            return Const(float(text))
-        if kind == "ident":
-            self._advance()
-            if self._peek()[0] == "(":
-                if text not in CALL_NAMES:
-                    raise ExprSyntaxError(
-                        f"unknown function {text!r} (expected one of {', '.join(CALL_NAMES)})",
-                        offset,
-                    )
-                self._advance()
-                arg = self._union()
-                if self._peek()[0] != ")":
-                    self._fail("')'")
-                self._advance()
-                return Call(text, arg)
-            return Var(text)
-        if kind == "(":
-            self._advance()
-            node = self._union()
-            if self._peek()[0] != ")":
-                self._fail("')'")
-            self._advance()
-            return node
-        self._fail("a number, a name, or '('")
+def _node(cls, op: str, *kids):
+    """Build an AST node from (node, height) children; return (node, height)."""
+    return cls(op, *(k for k, _ in kids)), 1 + max(h for _, h in kids)
 
 
 def parse(text: str) -> Expr:
     """Parse expression text into an AST.
 
     Raises ExprSyntaxError (carrying the character offset) on malformed
-    input and DepthExceeded past 256 nesting levels.
+    input and DepthExceeded when brackets, calls and unary minus nest more
+    than 256 levels deep or the tree would be more than 256 nodes high.
     """
-    # The descent costs a handful of interpreter frames per nesting level,
-    # so the documented MAX_DEPTH needs more stack than the usual default.
-    # The explicit depth counter, not the interpreter limit, rejects input.
-    limit = sys.getrecursionlimit()
-    need = 10 * MAX_DEPTH + 512
-    if limit < need:
-        sys.setrecursionlimit(need)
-    try:
-        return _Parser(text).parse()
-    finally:
-        sys.setrecursionlimit(limit)
+    tokens = _tokenize(text)
+    pos = 0
+    done = []  # finished operands as (node, height)
+    pending = []  # binary op names, "neg", and None where a group opens
+    groups = [""]  # open groups, innermost last: "" top level, "(" or a call name
+    depth = 1  # open groups plus pending minus signs
+
+    def fail(expected: str):
+        kind, tok, offset = tokens[pos]
+        got = "end of input" if kind == "end" else repr(tok)
+        raise ExprSyntaxError(f"expected {expected}, got {got}", offset)
+
+    while True:
+        # An operand: prefix minus signs, then an atom or the opening of a group.
+        kind, tok, offset = tokens[pos]
+        if kind == "-" or kind == "(" or (kind == "ident" and tokens[pos + 1][0] == "("):
+            if kind == "ident":
+                if tok not in CALL_NAMES:
+                    raise ExprSyntaxError(
+                        f"unknown function {tok!r} (expected one of {', '.join(CALL_NAMES)})",
+                        offset,
+                    )
+                pos += 1
+            pos += 1
+            pending.append("neg" if kind == "-" else None)
+            if kind != "-":
+                groups.append(tok)
+            depth += 1
+            if depth > MAX_DEPTH:
+                raise DepthExceeded(f"expression nesting exceeds {MAX_DEPTH}")
+            continue
+        if kind == "number":
+            done.append((Const(float(tok)), 1))
+        elif kind == "ident":
+            done.append((Var(tok), 1))
+        else:
+            fail("a number, a name, or '('")
+        pos += 1
+        # After an atom: postfix ~, pending minus signs, then either a binary
+        # operator or the end of the innermost group, which is itself an atom.
+        while True:
+            while tokens[pos][0] == "~":
+                pos += 1
+                done.append(_node(Unary, "complement", done.pop()))
+            while pending and pending[-1] == "neg":
+                pending.pop()
+                depth -= 1
+                done.append(_node(Unary, "neg", done.pop()))
+            kind = tokens[pos][0]
+            name = _BINARY_BY_SYMBOL.get(kind)
+            prec = OPERATORS[name][1] if name else 0
+            while pending and pending[-1] is not None and OPERATORS[pending[-1]][1] >= prec:
+                right = done.pop()
+                done.append(_node(Binary, pending.pop(), done.pop(), right))
+            if name:
+                pending.append(name)
+                pos += 1
+                break
+            group = groups.pop()
+            if not group:
+                if kind != "end":
+                    fail("end of input")
+                ast, height = done[0]
+                if height > MAX_DEPTH:
+                    raise DepthExceeded(f"expression tree is higher than {MAX_DEPTH}")
+                return ast
+            if kind != ")":
+                fail("')'")
+            pos += 1
+            pending.pop()
+            depth -= 1
+            if group != "(":
+                done.append(_node(Call, group, done.pop()))
 
 
-def _arith(a: Signal, b: Signal, fn) -> Signal:
-    return a.with_samples(fn(a.samples, b.samples))
+def _fold(ast: Expr, visit):
+    """Post-order fold with an explicit stack: visit(node, child results)."""
+    results = []
+    stack = [(ast, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if isinstance(node, Binary):
+            op, kids = node.op, (node.left, node.right)
+        elif isinstance(node, Unary):
+            op, kids = node.op, (node.child,)
+        elif isinstance(node, Call):
+            op, kids = node.fn, (node.child,)
+        else:
+            op, kids = None, ()
+        if kids and not expanded:
+            stack.append((node, True))
+            stack.extend((kid, False) for kid in reversed(kids))
+            continue
+        args = results[len(results) - len(kids):]
+        del results[len(results) - len(kids):]
+        results.append(visit(node, op, args))
+    return results[0]
 
 
 def evaluate(ast: Expr, env: Environment) -> Signal:
@@ -311,50 +301,31 @@ def evaluate(ast: Expr, env: Environment) -> Signal:
     Constants broadcast to the environment's common grid, which is also why
     a constant-only expression still needs a nonempty environment.
     """
-    if isinstance(ast, Var):
-        return env.lookup(ast.name)
-    if isinstance(ast, Const):
-        proto = env.prototype()
-        return proto.with_samples(np.full(len(proto), ast.value))
-    if isinstance(ast, Unary):
-        child = evaluate(ast.child, env)
-        if ast.op == "neg":
-            return child.with_samples(-child.samples)
-        return ops.complement(child)
-    if isinstance(ast, Call):
-        arg = evaluate(ast.child, env)
-        if ast.fn == "sin":
-            return arg.with_samples(np.sin(arg.samples))
-        if ast.fn == "cos":
-            return arg.with_samples(np.cos(arg.samples))
-        if ast.fn == "abs":
-            return ops.absolute(arg)
-        return arg.with_samples(np.where(arg.samples >= 0.0, 1.0, -1.0))
-    left = evaluate(ast.left, env)
-    right = evaluate(ast.right, env)
-    if ast.op == "add":
-        return _arith(left, right, np.add)
-    if ast.op == "sub":
-        return _arith(left, right, np.subtract)
-    if ast.op == "mul":
-        return _arith(left, right, np.multiply)
-    if ast.op == "intersect":
-        return ops.intersection(left, right)
-    if ast.op == "union":
-        return ops.union(left, right)
-    return ops.common_product(left, right)
+
+    def visit(node, op, args):
+        if isinstance(node, Var):
+            return env.lookup(node.name)
+        if isinstance(node, Const):
+            proto = env.prototype()
+            return proto.with_samples(np.full(len(proto), node.value))
+        return OPERATORS[op][2](*args)
+
+    return _fold(ast, visit)
 
 
 def pretty_print(ast: Expr) -> str:
-    """Fully parenthesized canonical rendering; parses back to the same AST."""
-    if isinstance(ast, Var):
-        return ast.name
-    if isinstance(ast, Const):
-        return repr(ast.value)
-    if isinstance(ast, Unary):
-        if ast.op == "neg":
-            return "-" + pretty_print(ast.child)
-        return "(" + pretty_print(ast.child) + ")~"
-    if isinstance(ast, Call):
-        return f"{ast.fn}({pretty_print(ast.child)})"
-    return f"({pretty_print(ast.left)} {_BINARY_SYMBOL[ast.op]} {pretty_print(ast.right)})"
+    """Fully parenthesized canonical rendering; parses back to the same AST.
+
+    Each node adds one level of nesting, so the text nests exactly as deep as
+    the tree is high.
+    """
+
+    def visit(node, op, args):
+        if isinstance(node, Var):
+            return node.name
+        if isinstance(node, Const):
+            return repr(node.value)
+        symbol, prec, _ = OPERATORS[op]
+        return _LAYOUT.get(prec, "({0} {s} {1})").format(*args, s=symbol)
+
+    return _fold(ast, visit)

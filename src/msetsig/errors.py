@@ -38,7 +38,7 @@ class DegenerateDenominator(MsetError):
 
 
 class FlatResult(MsetError):
-    """Peak analysis is undefined when all values are equal."""
+    """Peak analysis is undefined when all values are equal or none is positive."""
 
 
 class ParseError(MsetError):

@@ -35,7 +35,7 @@ def _read_lines(path) -> list[str]:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read {os.fspath(path)!r}: {exc}") from exc
     return raw.split("\n")
 

@@ -70,3 +70,21 @@ def common_product(f: Signal, g: Signal) -> Signal:
     check_same_shape(f, g)
     sfg = _signs(f.samples) * _signs(g.samples)
     return f.with_samples(sfg * np.minimum(np.abs(f.samples), np.abs(g.samples)))
+
+
+def _signify_signals(a: Signal, s: Signal) -> Signal:
+    return signify(a, SignSeries(s.dt, s.t0, s.samples))
+
+
+# Every named operation: name -> (arity, function of Signal operands). The
+# sign-valued operations return a SignSeries.
+OPS = {
+    "complement": (1, complement),
+    "sign": (1, sign_fn),
+    "conjoint_sign": (2, conjoint_sign),
+    "intersection": (2, intersection),
+    "union": (2, union),
+    "absolute": (1, absolute),
+    "signify": (2, _signify_signals),
+    "common_product": (2, common_product),
+}

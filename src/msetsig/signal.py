@@ -11,8 +11,8 @@ threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 
@@ -21,102 +21,95 @@ from .errors import BadParam, NonFiniteSample, NonPositiveDt, ShapeMismatch
 GEN_KINDS = ("sine", "cosine", "square", "gaussian_pulse", "triangle_pulse", "white_noise")
 
 
-def _own_array(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
-    if arr.ndim != 1:
-        raise BadParam(f"samples must be one-dimensional, got shape {arr.shape}")
-    arr.setflags(write=False)
-    return arr
+class _Grid:
+    """Validation, length and time axis shared by Signal and SignSeries.
+
+    ``_data`` names the dataclass field holding the value array.
+    """
+
+    _data = ""
+
+    def _validate(self) -> np.ndarray:
+        dt, t0 = float(self.dt), float(self.t0)
+        if not (dt > 0.0 and np.isfinite(dt)):
+            raise NonPositiveDt(f"dt must be positive and finite, got {self.dt!r}")
+        if not np.isfinite(t0):
+            raise BadParam(f"t0 must be finite, got {self.t0!r}")
+        arr = np.array(getattr(self, self._data), dtype=np.float64, copy=True)
+        if arr.ndim != 1:
+            raise BadParam(f"{self._data} must be one-dimensional, got shape {arr.shape}")
+        if arr.size < 1:
+            raise BadParam(f"{type(self).__name__} must contain at least one value")
+        arr.setflags(write=False)
+        object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "t0", t0)
+        object.__setattr__(self, self._data, arr)
+        return arr
+
+    def __len__(self) -> int:
+        return getattr(self, self._data).size
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(dt={self.dt}, t0={self.t0}, n={len(self)})"
+
+    def times(self) -> np.ndarray:
+        """Time axis: t0 + k*dt for each sample index k."""
+        return self.t0 + self.dt * np.arange(len(self))
 
 
-@dataclass(frozen=True, eq=False)
-class Signal:
+@dataclass(frozen=True, eq=False, repr=False)
+class Signal(_Grid):
     """A uniformly sampled real-valued signal.
 
     Attributes:
         dt: Sample interval in seconds, > 0 and finite.
-        t0: Time of the first sample in seconds.
+        t0: Time of the first sample in seconds, finite.
         samples: Read-only float64 array, every value finite, length >= 1.
     """
 
     dt: float
     t0: float
-    samples: np.ndarray = field(repr=False)
+    samples: np.ndarray
+    _data = "samples"
 
     def __post_init__(self):
-        dt = float(self.dt)
-        if not (dt > 0.0 and np.isfinite(dt)):
-            raise NonPositiveDt(f"dt must be positive and finite, got {self.dt!r}")
-        arr = _own_array(self.samples)
-        if arr.size < 1:
-            raise BadParam("signal must contain at least one sample")
-        bad = np.flatnonzero(~np.isfinite(arr))
+        bad = np.flatnonzero(~np.isfinite(self._validate()))
         if bad.size:
             raise NonFiniteSample(int(bad[0]))
-        object.__setattr__(self, "dt", dt)
-        object.__setattr__(self, "t0", float(self.t0))
-        object.__setattr__(self, "samples", arr)
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-    def __repr__(self) -> str:
-        return f"Signal(dt={self.dt}, t0={self.t0}, n={len(self)})"
-
-    def times(self) -> np.ndarray:
-        """Time axis: t0 + k*dt for each sample index k."""
-        return self.t0 + self.dt * np.arange(self.samples.size)
 
     def with_samples(self, samples) -> "Signal":
         """A new Signal with the same timing metadata and different samples."""
         return Signal(self.dt, self.t0, samples)
 
 
-@dataclass(frozen=True, eq=False)
-class SignSeries:
+@dataclass(frozen=True, eq=False, repr=False)
+class SignSeries(_Grid):
     """A +1/-1 valued series with Signal timing metadata."""
 
     dt: float
     t0: float
-    values: np.ndarray = field(repr=False)
+    values: np.ndarray
+    _data = "values"
 
     def __post_init__(self):
-        dt = float(self.dt)
-        if not (dt > 0.0 and np.isfinite(dt)):
-            raise NonPositiveDt(f"dt must be positive and finite, got {self.dt!r}")
-        arr = _own_array(self.values)
-        if arr.size < 1:
-            raise BadParam("sign series must contain at least one value")
-        if not np.all(np.abs(arr) == 1.0):
-            bad = int(np.flatnonzero(np.abs(arr) != 1.0)[0])
-            raise BadParam(f"sign series value at index {bad} is not +1 or -1")
-        object.__setattr__(self, "dt", dt)
-        object.__setattr__(self, "t0", float(self.t0))
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    def __repr__(self) -> str:
-        return f"SignSeries(dt={self.dt}, t0={self.t0}, n={len(self)})"
+        bad = np.flatnonzero(np.abs(self._validate()) != 1.0)
+        if bad.size:
+            raise BadParam(f"sign series value at index {int(bad[0])} is not +1 or -1")
 
 
-def make_signal(dt: float, t0: float, samples: Sequence[float]) -> Signal:
-    """Construct a validated Signal from a sample sequence."""
-    return Signal(dt, t0, samples)
-
-
-def check_same_shape(a: Union[Signal, SignSeries], b: Union[Signal, SignSeries]) -> None:
-    """Raise ShapeMismatch unless a and b agree exactly in length, dt, and t0.
+def check_same_shape(*items: Union[Signal, SignSeries], error=ShapeMismatch) -> None:
+    """Raise ``error`` unless all items agree exactly in length, dt, and t0.
 
     No implicit resampling or alignment is ever performed; callers align first.
     """
-    if len(a) != len(b):
-        raise ShapeMismatch(f"length mismatch: {len(a)} vs {len(b)}")
-    if a.dt != b.dt:
-        raise ShapeMismatch(f"dt mismatch: {a.dt} vs {b.dt}")
-    if a.t0 != b.t0:
-        raise ShapeMismatch(f"t0 mismatch: {a.t0} vs {b.t0}")
+    first = items[0]
+    for other in items[1:]:
+        if len(other) != len(first):
+            raise error(f"length mismatch: {len(first)} vs {len(other)}")
+        if other.dt != first.dt:
+            raise error(f"dt mismatch: {first.dt} vs {other.dt}")
+        if other.t0 != first.t0:
+            raise error(f"t0 mismatch: {first.t0} vs {other.t0}")
 
 
 def gen(

@@ -3,47 +3,47 @@ import math
 import numpy as np
 import pytest
 
-from msetsig import Signal, SignSeries, errors, gen, make_signal, shift
+from msetsig import Signal, SignSeries, errors, gen, shift
 
 from conftest import rand_signal
 
 
 class TestConstruction:
     def test_make_signal_echo(self):
-        s = make_signal(0.1, 0.0, [1, 2, 3])
+        s = Signal(0.1, 0.0, [1, 2, 3])
         assert len(s) == 3
         assert s.dt == 0.1
         assert np.array_equal(s.samples, [1.0, 2.0, 3.0])
 
     def test_nan_sample_rejected_with_index(self):
         with pytest.raises(errors.NonFiniteSample) as exc:
-            make_signal(0.1, 0.0, [1.0, math.nan])
+            Signal(0.1, 0.0, [1.0, math.nan])
         assert exc.value.index == 1
         assert "index 1" in str(exc.value)
 
     def test_inf_sample_rejected(self):
         with pytest.raises(errors.NonFiniteSample):
-            make_signal(0.1, 0.0, [math.inf])
+            Signal(0.1, 0.0, [math.inf])
 
     @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
     def test_bad_dt_rejected(self, dt):
         with pytest.raises(errors.NonPositiveDt):
-            make_signal(dt, 0.0, [1.0])
+            Signal(dt, 0.0, [1.0])
 
     def test_empty_rejected(self):
         with pytest.raises(errors.BadParam):
-            make_signal(0.1, 0.0, [])
+            Signal(0.1, 0.0, [])
 
     def test_samples_are_copied_and_frozen(self):
         src = np.array([1.0, 2.0])
-        s = make_signal(1.0, 0.0, src)
+        s = Signal(1.0, 0.0, src)
         src[0] = 99.0
         assert s.samples[0] == 1.0
         with pytest.raises(ValueError):
             s.samples[0] = 5.0
 
     def test_times_axis(self):
-        s = make_signal(0.5, 2.0, [0, 0, 0])
+        s = Signal(0.5, 2.0, [0, 0, 0])
         assert np.array_equal(s.times(), [2.0, 2.5, 3.0])
 
 
@@ -109,16 +109,16 @@ class TestGen:
 
 class TestShift:
     def test_right(self):
-        assert np.array_equal(shift(make_signal(1, 0, [1, 2, 3]), 1).samples, [0, 1, 2])
+        assert np.array_equal(shift(Signal(1, 0, [1, 2, 3]), 1).samples, [0, 1, 2])
 
     def test_identity(self):
-        assert np.array_equal(shift(make_signal(1, 0, [1, 2, 3]), 0).samples, [1, 2, 3])
+        assert np.array_equal(shift(Signal(1, 0, [1, 2, 3]), 0).samples, [1, 2, 3])
 
     def test_left(self):
-        assert np.array_equal(shift(make_signal(1, 0, [1, 2, 3]), -1).samples, [2, 3, 0])
+        assert np.array_equal(shift(Signal(1, 0, [1, 2, 3]), -1).samples, [2, 3, 0])
 
     def test_shift_past_end(self):
-        assert np.array_equal(shift(make_signal(1, 0, [1, 2]), 5).samples, [0, 0])
+        assert np.array_equal(shift(Signal(1, 0, [1, 2]), 5).samples, [0, 0])
 
     def test_round_trip_keeps_inner_samples(self, rng):
         f = rand_signal(rng, n=50)
