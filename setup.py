@@ -3,20 +3,19 @@
 The package works without the extension: msetsig._kernels falls back to the
 numpy implementation when the compiled module is absent, so the extension is
 marked optional and a failed compile does not fail the install.
+
+The kernels are summed in a fixed sequential order, so the build forbids
+contracting a*b+c into a fused multiply-add (which rounds once instead of
+twice) and adds no -ffast-math or -march flag.
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = []
-else:
-    ext = Extension(
-        "msetsig._kernels._core",
-        ["src/msetsig/_kernels/_core.pyx"],
-    )
-    ext.optional = True
-    ext_modules = cythonize([ext], compiler_directives={"language_level": "3"})
+ext = Extension(
+    "msetsig._kernels._core",
+    ["src/msetsig/_kernels/_core.c"],
+    extra_compile_args=["-O3", "-ffp-contract=off"],
+)
+ext.optional = True
 
-setup(ext_modules=ext_modules)
+setup(ext_modules=[ext])

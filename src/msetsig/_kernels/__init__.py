@@ -1,9 +1,11 @@
 """Hot inner loops, with backend selection at import time.
 
-The compiled Cython module is preferred when present; otherwise the numpy
-fallback is used. Setting the environment variable MSETSIG_PURE (to any
-non-empty value) forces the fallback, which is useful for benchmarking and
-for debugging a suspect build. Both backends produce identical results.
+The compiled C module (_core.c, built by setup.py) is preferred when
+present; otherwise the numpy fallback is used. Setting the environment
+variable MSETSIG_PURE (to any non-empty value) forces the fallback, which is
+useful for benchmarking and for debugging a suspect build. Both backends
+take the same arguments; low-pass results are identical, and correlation
+sums agree up to summation-order rounding.
 """
 
 import os

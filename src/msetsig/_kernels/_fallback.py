@@ -1,13 +1,25 @@
-"""Numpy fallback for the compiled kernels; identical signatures and results."""
+"""Numpy fallback for the compiled kernels: identical signatures, and results
+equal up to summation-order rounding."""
 
 import numpy as np
 
 
 def xcorr(f: np.ndarray, g: np.ndarray, lag_lo: int, lag_hi: int, common: bool) -> np.ndarray:
-    """Per-lag overlap sums; see the compiled twin for the contract."""
+    """Per-lag overlap sums; see the compiled twin for the contract.
+
+    The sums may round differently from the compiled twin's sequential
+    order: np.sum and np.correlate choose their own summation order.
+    """
     nf = f.size
     ng = g.size
     out = np.zeros(lag_hi - lag_lo + 1, dtype=np.float64)
+    if not common:
+        # np.correlate's full output covers lags -(ng-1) .. nf-1; lags
+        # beyond that range have no overlap and stay zero.
+        lo, hi = max(lag_lo, -(ng - 1)), min(lag_hi, nf - 1)
+        if lo <= hi:
+            out[lo - lag_lo : hi - lag_lo + 1] = np.correlate(f, g, "full")[lo + ng - 1 : hi + ng]
+        return out
     for idx, k in enumerate(range(lag_lo, lag_hi + 1)):
         lo = max(0, k)
         hi = min(nf - 1, k + ng - 1)
@@ -15,11 +27,8 @@ def xcorr(f: np.ndarray, g: np.ndarray, lag_lo: int, lag_hi: int, common: bool) 
             continue
         a = f[lo : hi + 1]
         b = g[lo - k : hi - k + 1]
-        if common:
-            sgn = np.where(a >= 0.0, 1.0, -1.0) * np.where(b >= 0.0, 1.0, -1.0)
-            out[idx] = np.sum(sgn * np.minimum(np.abs(a), np.abs(b)))
-        else:
-            out[idx] = np.dot(a, b)
+        sgn = np.where(a >= 0.0, 1.0, -1.0) * np.where(b >= 0.0, 1.0, -1.0)
+        out[idx] = np.sum(sgn * np.minimum(np.abs(a), np.abs(b)))
     return out
 
 

@@ -178,6 +178,8 @@ def peak_metrics(r: CorrelationResult) -> PeakMetrics:
     Raises:
         FlatResult: all values are equal, or none is positive, so there is
             no peak to measure at half height.
+        BadParam: the secondary ratio overflows (a tiny peak next to a
+            large negative value).
     """
     values = r.values
     if np.all(values == values[0]):
@@ -193,7 +195,7 @@ def peak_metrics(r: CorrelationResult) -> PeakMetrics:
     if not np.any(outside):
         secondary = 0.0
     else:
-        secondary = float(np.max(np.abs(values[outside])) / peak_value)
+        secondary = _finite(float(np.max(np.abs(values[outside]))) / peak_value, "secondary ratio")
     return PeakMetrics(
         peak_lag=int(r.lags[peak_idx]),
         peak_value=peak_value,

@@ -19,13 +19,21 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 def _span(lo: float, hi: float) -> Tuple[float, float]:
-    if hi > lo:
-        return lo, hi
-    return lo - 1.0, lo + 1.0
+    """Axis limits for data in [lo, hi]; flat data gets a nonzero width."""
+    if hi <= lo:
+        pad = max(1.0, abs(lo) * 1e-15)
+        lo, hi = lo - pad, lo + pad
+    if not np.isfinite(hi - lo):
+        raise BadParam(f"cannot plot data from {lo!r} to {hi!r}: the range overflows")
+    return lo, hi
 
 
 def line_plot(series: Sequence[Tuple[str, np.ndarray, np.ndarray]], title: str = "") -> str:
-    """Render labelled (x, y) series to an SVG document string."""
+    """Render labelled (x, y) series to an SVG document string.
+
+    Raises:
+        BadParam: no samples, or the x or y range spans more than a float.
+    """
     if not series:
         raise BadParam("nothing to plot")
     xs = np.concatenate([np.asarray(x, dtype=float) for _, x, _ in series])

@@ -87,12 +87,20 @@ csv_bytes = st.one_of(st.binary(max_size=40), structured)
 @settings(max_examples=200, deadline=None)
 @given(a=csv_bytes, b=csv_bytes, name=st.sampled_from(list(OPS)), svg=st.booleans())
 @example(a=b"# dt=1 t0=0\n1\n-1\n", b=b"# dt=1 t0=0\n1\n1\n", name="sign", svg=True)
+@example(a=b"# dt=1 t0=0\n1e300\n1e300\n", b=b"# dt=1 t0=0\n1\n1\n", name="absolute", svg=True)
 def test_op_file_contract(workdir, a, b, name, svg):
     (workdir / "a.csv").write_bytes(a)
     (workdir / "b.csv").write_bytes(b)
     argv = ["op", "--name", name, "--a", str(workdir / "a.csv"), "--b", str(workdir / "b.csv"),
             "--out", str(workdir / "o.csv")]
     check_contract(*run(argv + (["--svg", str(workdir / "o.svg")] if svg else [])))
+
+
+def test_op_svg_of_an_overflowing_range_is_a_data_error(workdir):
+    (workdir / "big.csv").write_bytes(b"# dt=1 t0=0\n1e308\n-1e308\n")
+    code, err = run(["op", "--name", "union", "--a", str(workdir / "big.csv"), "--b", str(workdir / "big.csv"),
+                     "--out", str(workdir / "o.csv"), "--svg", str(workdir / "o.svg")])
+    assert code == 2 and err.startswith("BadParam:") and "Traceback" not in err, err
 
 
 @settings(max_examples=200, deadline=None)

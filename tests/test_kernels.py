@@ -1,7 +1,21 @@
-"""Both kernel backends must agree with each other and with a naive oracle."""
+"""Both kernel backends must agree with each other and with a naive oracle.
+
+The compiled kernel is also built from source into a temporary directory
+(with warnings as errors) and tested from there, so the C source is covered
+whether or not ``setup.py build_ext --inplace`` has been run.
+"""
+
+import importlib.util
+import inspect
+import os
+import shutil
+import subprocess
+import sysconfig
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from msetsig import _kernels
 from msetsig._kernels import _fallback
@@ -12,6 +26,7 @@ except ImportError:
     _core = None
 
 BACKENDS = [_fallback] if _core is None else [_fallback, _core]
+CORE_C = os.path.join(os.path.dirname(__file__), os.pardir, "src", "msetsig", "_kernels", "_core.c")
 
 
 def naive_xcorr(f, g, lag_lo, lag_hi, common):
@@ -85,3 +100,111 @@ def test_xcorr_no_overlap_is_zero():
 
 def test_backend_name_reported():
     assert _kernels.backend_name() in ("compiled", "python")
+
+
+@pytest.fixture(scope="module")
+def fresh_core(tmp_path_factory):
+    """_core.c compiled now with -Wall -Wextra -Werror, loaded from its build directory."""
+    cc = shutil.which((sysconfig.get_config_var("CC") or "cc").split()[0])
+    include = sysconfig.get_paths()["include"]
+    if cc is None or not os.path.exists(os.path.join(include, "Python.h")):
+        pytest.skip("no C compiler or no Python.h")
+    so = tmp_path_factory.mktemp("core") / ("_core" + sysconfig.get_config_var("EXT_SUFFIX"))
+    proc = subprocess.run(
+        [cc, "-shared", "-fPIC", "-O3", "-ffp-contract=off", "-Wall", "-Wextra", "-Werror",
+         "-I" + include, CORE_C, "-o", str(so)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    spec = importlib.util.spec_from_file_location("_core", so)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module", params=["fresh"] + ([] if _core is None else ["inplace"]))
+def compiled(request):
+    """Every compiled backend: the fresh build, and the in-place one if built."""
+    return _core if request.param == "inplace" else request.getfixturevalue("fresh_core")
+
+
+def bits(a):
+    """Raw bit patterns, so that -0.0 differs from 0.0 and NaNs compare."""
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def assert_signatures(impl):
+    # the benchmark's tracer binds these names with inspect.signature
+    assert list(inspect.signature(impl.xcorr).parameters) == ["f", "g", "lag_lo", "lag_hi", "common"]
+    assert list(inspect.signature(impl.lowpass).parameters) == ["x", "alpha"]
+
+
+@pytest.mark.parametrize("impl", [_fallback, _kernels], ids=["fallback", "selected"])
+def test_kernel_signatures(impl):
+    assert_signatures(impl)
+
+
+def test_compiled_signatures(compiled):
+    assert_signatures(compiled)
+
+
+samples = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), common=st.booleans())
+def test_compiled_xcorr_is_the_sequential_sum(compiled, data, common):
+    f = data.draw(st.lists(samples, min_size=1, max_size=70))
+    g = data.draw(st.lists(samples, min_size=1, max_size=70))
+    # windows reach past the full range -(len(g)-1) .. len(f)-1 on both sides
+    lag_lo = data.draw(st.integers(-(len(g) - 1) - 17, len(f) + 8))
+    lag_hi = data.draw(st.integers(lag_lo - 1, len(f) - 1 + 17))
+    got = compiled.xcorr(np.array(f), np.array(g), lag_lo, lag_hi, common)
+    assert np.array_equal(bits(got), bits(naive_xcorr(f, g, lag_lo, lag_hi, common)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.lists(st.floats(-1e6, 1e6), max_size=200), alpha=st.floats(0.0, 1.0))
+def test_compiled_lowpass_is_the_fallback(compiled, x, alpha):
+    x = np.array(x, dtype=np.float64)
+    assert np.array_equal(bits(compiled.lowpass(x, alpha)), bits(_fallback.lowpass(x, alpha)))
+
+
+def test_concurrent_calls_agree(compiled):
+    rng = np.random.default_rng(13)
+    f, g = rng.standard_normal(3000), rng.standard_normal(2000)
+    want = bits(compiled.xcorr(f, g, -1999, 2999, True))
+    results = []
+
+    def work():
+        for _ in range(3):
+            results.append(bits(compiled.xcorr(f, g, -1999, 2999, True)))
+
+    threads = [threading.Thread(target=work) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert len(results) == 6
+    assert all(np.array_equal(r, want) for r in results)
+
+
+def test_compiled_rejects_arrays_it_cannot_read(compiled):
+    good = np.arange(8.0)
+    bad = [good[::2], good.astype(np.float32), np.arange(8), good.reshape(2, 4),
+           good.astype(">f8"), [1.0, 2.0], 1.0]
+    for arr in bad:
+        with pytest.raises((TypeError, ValueError)):
+            compiled.xcorr(arr, good, 0, 1, True)
+        with pytest.raises((TypeError, ValueError)):
+            compiled.xcorr(good, arr, 0, 1, False)
+        with pytest.raises((TypeError, ValueError)):
+            compiled.lowpass(arr, 0.5)
+    with pytest.raises(ValueError):
+        compiled.xcorr(good, good, 3, 1, True)
+    assert compiled.xcorr(good, good, 3, 2, True).shape == (0,)

@@ -1,5 +1,6 @@
 """Properties of the DSL round trip and depth bound, the signal grid, and the
-finiteness and peak contracts of the correlation layer."""
+finiteness and peak contracts of the correlation layer, and finite SVG
+coordinates."""
 
 import math
 import sys
@@ -21,6 +22,7 @@ from msetsig import (
     parse,
     peak_metrics,
     pretty_print,
+    svg,
 )
 from msetsig.dsl import MAX_DEPTH
 from msetsig.signal import check_same_shape
@@ -98,6 +100,30 @@ def test_peak_metrics_needs_a_positive_peak():
     for values in (-np.array([4.0, 1.0, 2.0, 3.0]), [0.0, -1.0, 0.0]):
         with pytest.raises(errors.FlatResult):
             peak_metrics(CorrelationResult(1.0, np.arange(len(values)), values))
+
+
+def test_peak_metrics_secondary_ratio_is_finite():
+    values = np.array([-1.0, 0.0, 5e-324, 0.0, -1.0])
+    with pytest.raises(errors.BadParam):
+        peak_metrics(CorrelationResult(1.0, np.arange(len(values)), values))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=st.lists(finite, min_size=1, max_size=6), ys=st.lists(finite, min_size=1, max_size=6))
+@example(xs=[0.0, 1.0], ys=[1e308, -1e308])
+@example(xs=[-1e308, 1e308], ys=[0.0, 1.0])
+@example(xs=[0.0, 1.0], ys=[1e300, 1e300])
+def test_svg_coordinates_are_finite_or_the_plot_raises(xs, ys):
+    n = min(len(xs), len(ys))
+    try:
+        text = svg.line_plot([("s", np.array(xs[:n]), np.array(ys[:n]))])
+    except errors.BadParam:
+        assert max(abs(v) for v in xs[:n] + ys[:n]) > 1e307  # only near the float range's end
+        return
+    assert "nan" not in text and "inf" not in text
 
 
 @pytest.mark.parametrize("fn", [common_functional, classic_functional, jaccard_index])
