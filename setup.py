@@ -6,7 +6,9 @@ marked optional and a failed compile does not fail the install.
 
 The kernels are summed in a fixed sequential order, so the build forbids
 contracting a*b+c into a fused multiply-add (which rounds once instead of
-twice) and adds no -ffast-math or -march flag.
+twice; the low-pass update has that form) and adds no -ffast-math or
+-march flag. tests/test_kernels.py builds the extension through this file,
+so a change of flags here is what its bitwise checks test.
 """
 
 from setuptools import Extension, setup

@@ -4,8 +4,9 @@ The compiled C module (_core.c, built by setup.py) is preferred when
 present; otherwise the numpy fallback is used. Setting the environment
 variable MSETSIG_PURE (to any non-empty value) forces the fallback, which is
 useful for benchmarking and for debugging a suspect build. Both backends
-take the same arguments; low-pass results are identical, and correlation
-sums agree up to summation-order rounding.
+take the same arguments; low-pass results are identical, and common
+correlation sums agree up to summation-order rounding. Classic correlation
+is np.correlate on every backend.
 """
 
 import os
@@ -24,8 +25,18 @@ else:
         _impl = _fallback
         BACKEND = "python"
 
-xcorr = _impl.xcorr
+xcorr_common = _impl.xcorr_common
 lowpass = _impl.lowpass
+
+
+def xcorr(f, g, lag_lo: int, lag_hi: int, common: bool):
+    """Sum over the overlap of the common (or, if not common, plain) product, for each lag.
+
+    Lag k aligns g[i - k] with f[i]; samples outside either signal contribute
+    nothing. Returns one float64 value per lag in [lag_lo, lag_hi]; the
+    caller applies the dt scale.
+    """
+    return (xcorr_common if common else _fallback.xcorr_classic)(f, g, lag_lo, lag_hi)
 
 
 def backend_name() -> str:

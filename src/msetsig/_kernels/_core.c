@@ -1,4 +1,6 @@
-/* Compiled inner loops: lag correlation and the single-pole IIR filter.
+/* Compiled inner loops: common-product lag correlation and the single-pole
+ * IIR filter. Classic (plain-product) correlation is not here: np.correlate
+ * is faster than a sequential-order loop, so every backend uses it.
  *
  * Hand-written against the CPython buffer protocol; the only numpy use is
  * numpy.empty for the result arrays. Inputs must be 1-D C-contiguous
@@ -25,7 +27,7 @@ static PyObject *np_empty;
 
 /* sign(a)*sign(b)*min(|a|,|b|) with the sign applied as a sign-bit XOR.
  * This differs from the sign(0) = +1 rule only when the minimum is zero,
- * where it may return -0.0 instead of +0.0; see xcorr_loop for why that
+ * where it may return -0.0 instead of +0.0; see xcorr_common_loop for why that
  * never changes a sum. */
 static inline double common_term(double a, double b)
 {
@@ -40,7 +42,8 @@ static inline double common_term(double a, double b)
     return m;
 }
 
-/* out[idx] = sum over i of f[i] * g[i - k], k = lag_lo + idx, in ascending i.
+/* out[idx] = sum over i of common_term(f[i], g[i - k]), k = lag_lo + idx,
+ * in ascending i.
  *
  * gr is g reversed and padded with BLOCK-1 zeros on each side, so the BLOCK
  * lags k0..k0+BLOCK-1 read one contiguous run of gr per sample of f:
@@ -49,8 +52,8 @@ static inline double common_term(double a, double b)
  * overlap. Those leave every sum bitwise unchanged: an accumulator starts
  * at +0.0, and under round-to-nearest a sum that starts at +0.0 never
  * becomes -0.0, so adding a zero of either sign is the identity. */
-static void xcorr_loop(const double *f, Py_ssize_t nf, const double *gr, Py_ssize_t ng,
-                       Py_ssize_t lag_lo, Py_ssize_t nlag, int common, double *out)
+static void xcorr_common_loop(const double *f, Py_ssize_t nf, const double *gr, Py_ssize_t ng,
+                              Py_ssize_t lag_lo, Py_ssize_t nlag, double *out)
 {
     for (Py_ssize_t b = 0; b < nlag; b += BLOCK) {
         Py_ssize_t k0 = lag_lo + b;
@@ -61,18 +64,10 @@ static void xcorr_loop(const double *f, Py_ssize_t nf, const double *gr, Py_ssiz
             Py_ssize_t off = (BLOCK - 1) + (ng - 1) + k0;
             if (hi > nf - 1)
                 hi = nf - 1;
-            if (common) {
-                for (Py_ssize_t i = lo; i <= hi; i++) {
-                    const double a = f[i], *row = gr + (off - i);
-                    for (int j = 0; j < BLOCK; j++)
-                        acc[j] += common_term(a, row[j]);
-                }
-            } else {
-                for (Py_ssize_t i = lo; i <= hi; i++) {
-                    const double a = f[i], *row = gr + (off - i);
-                    for (int j = 0; j < BLOCK; j++)
-                        acc[j] += a * row[j];
-                }
+            for (Py_ssize_t i = lo; i <= hi; i++) {
+                const double a = f[i], *row = gr + (off - i);
+                for (int j = 0; j < BLOCK; j++)
+                    acc[j] += common_term(a, row[j]);
             }
         }
         Py_ssize_t n = nlag - b < BLOCK ? nlag - b : BLOCK;
@@ -102,22 +97,21 @@ static PyObject *new_doubles(Py_ssize_t n, Py_buffer *out)
     return arr;
 }
 
-PyDoc_STRVAR(xcorr_doc,
-"xcorr($module, f, g, lag_lo, lag_hi, common, /)\n--\n\n"
-"Sum of the elementwise product over the overlap, for each lag.\n\n"
+PyDoc_STRVAR(xcorr_common_doc,
+"xcorr_common($module, f, g, lag_lo, lag_hi, /)\n--\n\n"
+"Sum of the common product sign(a)*sign(b)*min(|a|,|b|) over the overlap,\n"
+"for each lag.\n\n"
 "Lag k aligns g[i - k] with f[i]; samples outside either signal contribute\n"
-"nothing. ``common`` selects the signed-minimum product instead of the\n"
-"plain product. Returns one value per lag in [lag_lo, lag_hi]; the caller\n"
+"nothing. Returns one value per lag in [lag_lo, lag_hi]; the caller\n"
 "applies the dt scale. Each lag is summed in ascending i, so for finite\n"
 "inputs the result is bitwise that of the plain sequential loop.");
 
-static PyObject *xcorr(PyObject *Py_UNUSED(module), PyObject *args)
+static PyObject *xcorr_common(PyObject *Py_UNUSED(module), PyObject *args)
 {
     PyObject *fo, *go, *res;
     Py_ssize_t lag_lo, lag_hi;
-    int common;
     Py_buffer fv, gv, ov;
-    if (!PyArg_ParseTuple(args, "OOnnp:xcorr", &fo, &go, &lag_lo, &lag_hi, &common))
+    if (!PyArg_ParseTuple(args, "OOnn:xcorr_common", &fo, &go, &lag_lo, &lag_hi))
         return NULL;
     /* the bounds keep k0 + BLOCK + ng and the lag count from overflowing */
     if (lag_lo < -PY_SSIZE_T_MAX / 4 || lag_hi > PY_SSIZE_T_MAX / 4 || lag_hi < lag_lo - 1) {
@@ -138,7 +132,7 @@ static PyObject *xcorr(PyObject *Py_UNUSED(module), PyObject *args)
         for (Py_ssize_t m = 0; m < ng; m++)
             gr[(BLOCK - 1) + m] = g[ng - 1 - m];
         Py_BEGIN_ALLOW_THREADS
-        xcorr_loop(fv.buf, nf, gr, ng, lag_lo, nlag, common, ov.buf);
+        xcorr_common_loop(fv.buf, nf, gr, ng, lag_lo, nlag, ov.buf);
         Py_END_ALLOW_THREADS
         PyBuffer_Release(&ov);
     }
@@ -179,7 +173,7 @@ static PyObject *lowpass(PyObject *Py_UNUSED(module), PyObject *args)
 }
 
 static PyMethodDef core_methods[] = {
-    {"xcorr", xcorr, METH_VARARGS, xcorr_doc},
+    {"xcorr_common", xcorr_common, METH_VARARGS, xcorr_common_doc},
     {"lowpass", lowpass, METH_VARARGS, lowpass_doc},
     {NULL, NULL, 0, NULL},
 };
@@ -187,7 +181,7 @@ static PyMethodDef core_methods[] = {
 static struct PyModuleDef core_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_core",
-    .m_doc = "Compiled inner loops: lag correlation and the single-pole IIR filter.",
+    .m_doc = "Compiled inner loops: common-product lag correlation and the single-pole IIR filter.",
     .m_size = -1,
     .m_methods = core_methods,
 };

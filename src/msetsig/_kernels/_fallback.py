@@ -1,25 +1,19 @@
-"""Numpy fallback for the compiled kernels: identical signatures, and results
-equal up to summation-order rounding."""
+"""Numpy fallback for the compiled kernels, and the classic correlation that
+every backend uses.
+
+``xcorr_common`` and ``lowpass`` take the same arguments as their compiled
+twins; low-pass results are identical, and common sums agree up to
+summation-order rounding (np.sum chooses its own order).
+"""
 
 import numpy as np
 
 
-def xcorr(f: np.ndarray, g: np.ndarray, lag_lo: int, lag_hi: int, common: bool) -> np.ndarray:
-    """Per-lag overlap sums; see the compiled twin for the contract.
-
-    The sums may round differently from the compiled twin's sequential
-    order: np.sum and np.correlate choose their own summation order.
-    """
+def xcorr_common(f: np.ndarray, g: np.ndarray, lag_lo: int, lag_hi: int) -> np.ndarray:
+    """Per-lag overlap sums of the common product; see the compiled twin."""
     nf = f.size
     ng = g.size
     out = np.zeros(lag_hi - lag_lo + 1, dtype=np.float64)
-    if not common:
-        # np.correlate's full output covers lags -(ng-1) .. nf-1; lags
-        # beyond that range have no overlap and stay zero.
-        lo, hi = max(lag_lo, -(ng - 1)), min(lag_hi, nf - 1)
-        if lo <= hi:
-            out[lo - lag_lo : hi - lag_lo + 1] = np.correlate(f, g, "full")[lo + ng - 1 : hi + ng]
-        return out
     for idx, k in enumerate(range(lag_lo, lag_hi + 1)):
         lo = max(0, k)
         hi = min(nf - 1, k + ng - 1)
@@ -29,6 +23,34 @@ def xcorr(f: np.ndarray, g: np.ndarray, lag_lo: int, lag_hi: int, common: bool) 
         b = g[lo - k : hi - k + 1]
         sgn = np.where(a >= 0.0, 1.0, -1.0) * np.where(b >= 0.0, 1.0, -1.0)
         out[idx] = np.sum(sgn * np.minimum(np.abs(a), np.abs(b)))
+    return out
+
+
+def xcorr_classic(f: np.ndarray, g: np.ndarray, lag_lo: int, lag_hi: int) -> np.ndarray:
+    """Per-lag overlap sums of the plain product f[i] * g[i - k], by np.correlate.
+
+    f is first cut to the samples a..b-1 that lags lo..hi read. A window of
+    fewer lags than that (valid mode, say) is one 'valid' pass over the cut,
+    zero-padded where a lag reaches past f: (hi - lo + 1) * g.size products.
+    A wider one (full mode) is the 'full' pass over the cut, sliced:
+    (b - a) * g.size products. Lags beyond the full range
+    -(g.size-1) .. f.size-1 have no overlap and stay zero.
+    """
+    nf = f.size
+    ng = g.size
+    out = np.zeros(lag_hi - lag_lo + 1, dtype=np.float64)
+    lo, hi = max(lag_lo, -(ng - 1)), min(lag_hi, nf - 1)
+    if lo > hi:
+        return out
+    a, b = max(lo, 0), min(nf, hi + ng)
+    if hi - lo + 1 < b - a:
+        fp = f[a:b]
+        if (a, b) != (lo, hi + ng):
+            fp = np.pad(fp, (a - lo, hi + ng - b))
+        values = np.correlate(fp, g, "valid")
+    else:
+        values = np.correlate(f[a:b], g, "full")[lo - a + ng - 1 : hi - a + ng]
+    out[lo - lag_lo : hi - lag_lo + 1] = values
     return out
 
 

@@ -1,15 +1,18 @@
 """Both kernel backends must agree with each other and with a naive oracle.
 
-The compiled kernel is also built from source into a temporary directory
-(with warnings as errors) and tested from there, so the C source is covered
-whether or not ``setup.py build_ext --inplace`` has been run.
+The compiled kernel is also built from source by setup.py into a temporary
+directory (with warnings as errors) and tested from there, so the C source
+and its build flags are covered whether or not ``setup.py build_ext
+--inplace`` has been run.
 """
 
+import glob
 import importlib.util
 import inspect
 import os
 import shutil
 import subprocess
+import sys
 import sysconfig
 import threading
 
@@ -26,7 +29,7 @@ except ImportError:
     _core = None
 
 BACKENDS = [_fallback] if _core is None else [_fallback, _core]
-CORE_C = os.path.join(os.path.dirname(__file__), os.pardir, "src", "msetsig", "_kernels", "_core.c")
+REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 
 def naive_xcorr(f, g, lag_lo, lag_hi, common):
@@ -46,9 +49,17 @@ def naive_xcorr(f, g, lag_lo, lag_hi, common):
     return np.array(out)
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.__name__.rsplit(".", 1)[-1])
-@pytest.mark.parametrize("common", [True, False])
-def test_xcorr_matches_naive_oracle(impl, common):
+def kernel_of(impl, common):
+    """The kernel a backend runs for one kind: classic is np.correlate on all of them."""
+    return impl.xcorr_common if common else _fallback.xcorr_classic
+
+
+@pytest.mark.parametrize(
+    "common, impl",
+    [(common, impl) for impl in BACKENDS for common in (True, False) if common or impl is _fallback],
+    ids=lambda v: v.__name__.rsplit(".", 1)[-1] if inspect.ismodule(v) else str(v),
+)
+def test_xcorr_matches_naive_oracle(common, impl):
     rng = np.random.default_rng(11)
     for _ in range(25):
         nf = int(rng.integers(1, 20))
@@ -56,20 +67,63 @@ def test_xcorr_matches_naive_oracle(impl, common):
         f = rng.standard_normal(nf)
         g = rng.standard_normal(ng)
         lag_lo, lag_hi = -(ng - 1), nf - 1
-        got = impl.xcorr(f, g, lag_lo, lag_hi, common)
+        got = kernel_of(impl, common)(f, g, lag_lo, lag_hi)
         want = naive_xcorr(f, g, lag_lo, lag_hi, common)
         assert np.allclose(got, want, atol=1e-12, rtol=0)
 
 
-@pytest.mark.skipif(_core is None, reason="compiled backend not built")
 @pytest.mark.parametrize("common", [True, False])
-def test_backends_agree(common):
+def test_selected_xcorr_dispatches_on_kind(common):
+    rng = np.random.default_rng(12)
+    f, g = rng.standard_normal(30), rng.standard_normal(20)
+    got = _kernels.xcorr(f, g, -25, 35, common)
+    assert np.allclose(got, naive_xcorr(f, g, -25, 35, common), atol=1e-12, rtol=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_classic_windows_match_naive_oracle(data):
+    # valid-mode windows (nf == ng, nf == ng + 1, ...) as well as windows
+    # reaching past the full range on either side
+    ng = data.draw(st.integers(1, 40))
+    nf = ng + data.draw(st.integers(0, 3)) if data.draw(st.booleans()) else data.draw(st.integers(1, 40))
+    f = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=nf, max_size=nf)))
+    g = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=ng, max_size=ng)))
+    lag_lo = data.draw(st.integers(-(ng - 1) - 5, nf + 4))
+    lag_hi = data.draw(st.integers(lag_lo - 1, nf - 1 + 5))
+    got = _fallback.xcorr_classic(f, g, lag_lo, lag_hi)
+    want = naive_xcorr(f, g, lag_lo, lag_hi, False)
+    # rounding of any summation order is bounded by n·eps·sum|f·g|
+    bound = 64 * np.finfo(np.float64).eps * naive_xcorr(np.abs(f), np.abs(g), lag_lo, lag_hi, False)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= bound)
+
+
+def test_classic_computes_only_the_requested_lags(monkeypatch):
+    # the valid window of nf == ng is one lag of ng products, not nf * ng;
+    # the full window is nf * ng products, as np.correlate's own full mode
+    seen = []
+    real = np.correlate
+
+    def spy(a, v, mode):
+        seen.append((a.size, v.size, mode))
+        return real(a, v, mode)
+
+    monkeypatch.setattr(np, "correlate", spy)
+    f, g = np.arange(1000.0), np.ones(1000)
+    assert _fallback.xcorr_classic(f, g, 0, 0)[0] == np.sum(f)
+    assert _fallback.xcorr_classic(f, g, -999, 999)[999] == np.sum(f)
+    assert seen == [(1000, 1000, "valid"), (1000, 1000, "full")]
+
+
+@pytest.mark.skipif(_core is None, reason="compiled backend not built")
+def test_backends_agree():
     rng = np.random.default_rng(5)
     f = rng.standard_normal(200)
     g = rng.standard_normal(150)
     lo, hi = -149, 199
-    a = _core.xcorr(f, g, lo, hi, common)
-    b = _fallback.xcorr(f, g, lo, hi, common)
+    a = _core.xcorr_common(f, g, lo, hi)
+    b = _fallback.xcorr_common(f, g, lo, hi)
     assert np.allclose(a, b, atol=1e-10, rtol=0)
 
 
@@ -104,19 +158,23 @@ def test_backend_name_reported():
 
 @pytest.fixture(scope="module")
 def fresh_core(tmp_path_factory):
-    """_core.c compiled now with -Wall -Wextra -Werror, loaded from its build directory."""
+    """_core.c built now by setup.py (its own flags plus -Wall -Wextra -Werror),
+    loaded from the temporary build directory."""
     cc = shutil.which((sysconfig.get_config_var("CC") or "cc").split()[0])
     include = sysconfig.get_paths()["include"]
     if cc is None or not os.path.exists(os.path.join(include, "Python.h")):
         pytest.skip("no C compiler or no Python.h")
-    so = tmp_path_factory.mktemp("core") / ("_core" + sysconfig.get_config_var("EXT_SUFFIX"))
+    out = tmp_path_factory.mktemp("core")
     proc = subprocess.run(
-        [cc, "-shared", "-fPIC", "-O3", "-ffp-contract=off", "-Wall", "-Wextra", "-Werror",
-         "-I" + include, CORE_C, "-o", str(so)],
+        [sys.executable, "setup.py", "build_ext", "--build-lib", str(out / "lib"),
+         "--build-temp", str(out / "tmp")],
+        cwd=REPO, env={**os.environ, "CFLAGS": "-Wall -Wextra -Werror"},
         capture_output=True, text=True, timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
-    spec = importlib.util.spec_from_file_location("_core", so)
+    # the extension is optional, so a failed compile still exits 0: look for the library
+    built = glob.glob(str(out / "lib" / "msetsig" / "_kernels" / "_core*"))
+    assert proc.returncode == 0 and len(built) == 1, proc.stdout + proc.stderr
+    spec = importlib.util.spec_from_file_location("_core", built[0])
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -134,14 +192,15 @@ def bits(a):
 
 
 def assert_signatures(impl):
-    # the benchmark's tracer binds these names with inspect.signature
-    assert list(inspect.signature(impl.xcorr).parameters) == ["f", "g", "lag_lo", "lag_hi", "common"]
+    assert list(inspect.signature(impl.xcorr_common).parameters) == ["f", "g", "lag_lo", "lag_hi"]
     assert list(inspect.signature(impl.lowpass).parameters) == ["x", "alpha"]
 
 
 @pytest.mark.parametrize("impl", [_fallback, _kernels], ids=["fallback", "selected"])
 def test_kernel_signatures(impl):
     assert_signatures(impl)
+    # the benchmark's tracer binds these names with inspect.signature
+    assert list(inspect.signature(_kernels.xcorr).parameters) == ["f", "g", "lag_lo", "lag_hi", "common"]
 
 
 def test_compiled_signatures(compiled):
@@ -156,15 +215,15 @@ samples = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), common=st.booleans())
-def test_compiled_xcorr_is_the_sequential_sum(compiled, data, common):
+@given(data=st.data())
+def test_compiled_xcorr_is_the_sequential_sum(compiled, data):
     f = data.draw(st.lists(samples, min_size=1, max_size=70))
     g = data.draw(st.lists(samples, min_size=1, max_size=70))
     # windows reach past the full range -(len(g)-1) .. len(f)-1 on both sides
     lag_lo = data.draw(st.integers(-(len(g) - 1) - 17, len(f) + 8))
     lag_hi = data.draw(st.integers(lag_lo - 1, len(f) - 1 + 17))
-    got = compiled.xcorr(np.array(f), np.array(g), lag_lo, lag_hi, common)
-    assert np.array_equal(bits(got), bits(naive_xcorr(f, g, lag_lo, lag_hi, common)))
+    got = compiled.xcorr_common(np.array(f), np.array(g), lag_lo, lag_hi)
+    assert np.array_equal(bits(got), bits(naive_xcorr(f, g, lag_lo, lag_hi, True)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -177,12 +236,12 @@ def test_compiled_lowpass_is_the_fallback(compiled, x, alpha):
 def test_concurrent_calls_agree(compiled):
     rng = np.random.default_rng(13)
     f, g = rng.standard_normal(3000), rng.standard_normal(2000)
-    want = bits(compiled.xcorr(f, g, -1999, 2999, True))
+    want = bits(compiled.xcorr_common(f, g, -1999, 2999))
     results = []
 
     def work():
         for _ in range(3):
-            results.append(bits(compiled.xcorr(f, g, -1999, 2999, True)))
+            results.append(bits(compiled.xcorr_common(f, g, -1999, 2999)))
 
     threads = [threading.Thread(target=work) for _ in range(2)]
     for t in threads:
@@ -200,11 +259,11 @@ def test_compiled_rejects_arrays_it_cannot_read(compiled):
            good.astype(">f8"), [1.0, 2.0], 1.0]
     for arr in bad:
         with pytest.raises((TypeError, ValueError)):
-            compiled.xcorr(arr, good, 0, 1, True)
+            compiled.xcorr_common(arr, good, 0, 1)
         with pytest.raises((TypeError, ValueError)):
-            compiled.xcorr(good, arr, 0, 1, False)
+            compiled.xcorr_common(good, arr, 0, 1)
         with pytest.raises((TypeError, ValueError)):
             compiled.lowpass(arr, 0.5)
     with pytest.raises(ValueError):
-        compiled.xcorr(good, good, 3, 1, True)
-    assert compiled.xcorr(good, good, 3, 2, True).shape == (0,)
+        compiled.xcorr_common(good, good, 3, 1)
+    assert compiled.xcorr_common(good, good, 3, 2).shape == (0,)
