@@ -9,9 +9,7 @@ for comparator/switch circuit realizations of the same operations.
 """
 
 from . import circuit, errors
-from ._kernels import backend_name
-
-kernel_backend = backend_name()
+from ._kernels import BACKEND as kernel_backend
 """Which kernel implementation this process imported: "compiled" or "python"."""
 from .correlation import (
     CORR_KINDS,

@@ -1,29 +1,21 @@
 """Hot inner loops, with backend selection at import time.
 
-The compiled C module (_core.c, built by setup.py) is preferred when
-present; otherwise the numpy fallback is used. Setting the environment
-variable MSETSIG_PURE (to any non-empty value) forces the fallback, which is
-useful for benchmarking and for debugging a suspect build. Both backends
-take the same arguments; low-pass results are identical, and common
-correlation sums agree up to summation-order rounding. Classic correlation
-is np.correlate on every backend.
+The compiled C module (_core.c, built by setup.py) is used when present;
+otherwise the numpy fallback is. BACKEND names the one selected: "compiled"
+or "python". Both backends take the same arguments; low-pass results are
+identical, and common correlation sums agree up to summation-order
+rounding. Classic correlation is np.correlate on every backend.
 """
-
-import os
 
 from . import _fallback
 
-if os.environ.get("MSETSIG_PURE"):
+try:
+    from . import _core as _impl  # type: ignore[no-redef]
+
+    BACKEND = "compiled"
+except ImportError:
     _impl = _fallback
     BACKEND = "python"
-else:
-    try:
-        from . import _core as _impl  # type: ignore[no-redef]
-
-        BACKEND = "compiled"
-    except ImportError:
-        _impl = _fallback
-        BACKEND = "python"
 
 xcorr_common = _impl.xcorr_common
 lowpass = _impl.lowpass
@@ -38,7 +30,3 @@ def xcorr(f, g, lag_lo: int, lag_hi: int, common: bool):
     """
     return (xcorr_common if common else _fallback.xcorr_classic)(f, g, lag_lo, lag_hi)
 
-
-def backend_name() -> str:
-    """Which kernel backend was selected at import: 'compiled' or 'python'."""
-    return BACKEND

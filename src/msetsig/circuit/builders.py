@@ -72,7 +72,7 @@ _TOPOLOGIES = {
 NETLIST_KINDS = tuple(_TOPOLOGIES)
 
 
-def _balance_delays(inputs, components, output):
+def _balance_delays(inputs, components):
     """Insert pass-through delay pads so that, for every component, all
     non-ground inputs carry the same accumulated delay."""
     arrival = {name: 0 for name in inputs}
@@ -101,7 +101,7 @@ def _balance_delays(inputs, components, output):
             wired.append(pad_out)
         balanced.append(replace(comp, inputs=tuple(wired)))
         arrival[comp.output] = target + comp.params.delay_samples
-    return balanced, arrival[output]
+    return balanced
 
 
 def build_netlist(kind: str, params: Optional[ComponentParams] = None) -> Netlist:
@@ -116,8 +116,7 @@ def build_netlist(kind: str, params: Optional[ComponentParams] = None) -> Netlis
     p = params if params is not None else ComponentParams()
     inputs, parts = _TOPOLOGIES[kind]
     comps = [Component(ctype, out, tuple(ins), p) for ctype, out, *ins in parts]
-    balanced, _ = _balance_delays(inputs, comps, "out")
-    return Netlist(inputs, tuple(balanced), "out", kind)
+    return Netlist(inputs, tuple(_balance_delays(inputs, comps)), "out", kind)
 
 
 def output_latency(net: Netlist) -> int:

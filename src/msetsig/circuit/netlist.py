@@ -27,17 +27,6 @@ from ..errors import BadParam, NetlistError
 
 GROUND = "gnd"
 
-COMPONENT_KINDS = (
-    "comparator",
-    "analog_switch",
-    "inverting_amp",
-    "equivalence_gate",
-    "summer",
-    "integrator",
-    "lowpass",
-    "delay",
-)
-
 # input counts per component type; switch inputs are (in_a, in_b, ctrl)
 _ARITY = {
     "comparator": 2,
@@ -49,6 +38,7 @@ _ARITY = {
     "lowpass": 1,
     "delay": 1,
 }
+COMPONENT_KINDS = tuple(_ARITY)
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 

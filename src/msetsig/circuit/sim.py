@@ -9,7 +9,8 @@ run are a cold-start transient.
 
 Analog switches are the only noise source: at every control transition the
 output picks up an additive glitch of alternating sign (rising edges start
-positive, falling edges negative), glitch_width_samples long.
+positive, falling edges negative), glitch_width_samples long. Pulses that
+overlap add, sample by sample, in the order of their edges.
 
 An integer oversample factor refines the time step: inputs are sample-and-
 hold expanded, delays and glitch widths scale so their physical duration is
@@ -73,47 +74,45 @@ def _delayed(x: np.ndarray, steps: int) -> np.ndarray:
     return out
 
 
-def _switch(comp: Component, a, b, ctrl, oversample: int) -> np.ndarray:
+def _switch(comp: Component, ins, dt_sim: float, oversample: int) -> np.ndarray:
     p = comp.params
-    mid = 0.5 * (p.logic_high + p.logic_low)
-    sel = ctrl >= mid
-    out = np.where(sel, a, b)
-    amp = p.glitch_amplitude
+    sel = ins[2] >= 0.5 * (p.logic_high + p.logic_low)
+    out = np.where(sel, ins[0], ins[1])
     width = p.glitch_width_samples * oversample
-    if amp > 0.0 and width > 0:
+    if p.glitch_amplitude > 0.0 and width > 0:
         n = out.size
         edges = np.nonzero(sel[1:] != sel[:-1])[0] + 1
-        for i in edges:
-            start = 1.0 if sel[i] else -1.0
-            for j in range(width):
-                if i + j >= n:
-                    break
-                # biphasic: sign flips every input-grid sample of the pulse
-                out[i + j] += amp * start * (1.0 if (j // oversample) % 2 == 0 else -1.0)
+        start = np.where(sel[edges], p.glitch_amplitude, -p.glitch_amplitude)
+        # Descending offsets add overlapping pulses to each sample in
+        # ascending edge order; offsets of n - edges[0] or more land past
+        # the end. The pulse is biphasic: its sign flips every input-grid
+        # sample.
+        reach = min(width, n - edges[0]) if edges.size else 0
+        for j in range(reach - 1, -1, -1):
+            hit = np.searchsorted(edges, n - j)
+            out[edges[:hit] + j] += start[:hit] if (j // oversample) % 2 == 0 else -start[:hit]
     return out
 
 
-def _eval_component(comp: Component, ins, dt_sim: float, oversample: int) -> np.ndarray:
-    kind = comp.kind
-    p = comp.params
-    if kind == "comparator":
-        return np.where(ins[0] >= ins[1], p.logic_high, p.logic_low)
-    if kind == "analog_switch":
-        return _switch(comp, ins[0], ins[1], ins[2], oversample)
-    if kind == "inverting_amp":
-        return -ins[0]
-    if kind == "equivalence_gate":
-        same = (ins[0] >= 0.0) == (ins[1] >= 0.0)
-        return np.where(same, p.logic_high, p.logic_low)
-    if kind == "summer":
-        return comp.signs[0] * ins[0] + comp.signs[1] * ins[1]
-    if kind == "integrator":
-        return np.cumsum(ins[0]) * dt_sim
-    if kind == "lowpass":
-        alpha = 1.0 - math.exp(-2.0 * math.pi * comp.cutoff_hz * dt_sim)
-        return _kernels.lowpass(np.ascontiguousarray(ins[0]), alpha)
-    # pure delay pad: the shift below is the whole behavior
-    return ins[0]
+def _lowpass(comp: Component, ins, dt_sim: float, oversample: int) -> np.ndarray:
+    alpha = 1.0 - math.exp(-2.0 * math.pi * comp.cutoff_hz * dt_sim)
+    return _kernels.lowpass(np.ascontiguousarray(ins[0]), alpha)
+
+
+# kind -> fn(comp, ins, dt_sim, oversample) giving the output waveform from the
+# already delayed inputs; for a pure delay pad the delay is the whole behavior
+_BEHAVIOUR = {
+    "comparator": lambda c, ins, dt, os_: np.where(ins[0] >= ins[1], c.params.logic_high, c.params.logic_low),
+    "analog_switch": _switch,
+    "inverting_amp": lambda c, ins, dt, os_: -ins[0],
+    "equivalence_gate": lambda c, ins, dt, os_: np.where(
+        (ins[0] >= 0.0) == (ins[1] >= 0.0), c.params.logic_high, c.params.logic_low
+    ),
+    "summer": lambda c, ins, dt, os_: c.signs[0] * ins[0] + c.signs[1] * ins[1],
+    "integrator": lambda c, ins, dt, os_: np.cumsum(ins[0]) * dt,
+    "lowpass": _lowpass,
+    "delay": lambda c, ins, dt, os_: ins[0],
+}
 
 
 def simulate(net: Netlist, inputs: Mapping[str, Signal], oversample: int = 1) -> SimTrace:
@@ -145,12 +144,8 @@ def simulate(net: Netlist, inputs: Mapping[str, Signal], oversample: int = 1) ->
         steps = comp.params.delay_samples * oversample
         ins = [_delayed(values[name], steps) for name in comp.inputs]
         values[comp.output] = np.asarray(
-            _eval_component(comp, ins, dt_sim, oversample), dtype=np.float64
+            _BEHAVIOUR[comp.kind](comp, ins, dt_sim, oversample), dtype=np.float64
         )
 
-    nodes = {}
-    for name in net.inputs:
-        nodes[name] = values[name][::oversample]
-    for comp in net.components:
-        nodes[comp.output] = values[comp.output][::oversample]
+    nodes = {name: wave[::oversample] for name, wave in values.items() if name != GROUND}
     return SimTrace(first.dt, first.t0, nodes, net.output)

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__, correlation, dsl, io as sio, ops, svg
-from ._kernels import backend_name
+from ._kernels import BACKEND
 from .circuit import (
     NETLIST_KINDS,
     Component,
@@ -204,7 +204,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_version(args) -> int:
-    print(f"msetsig {__version__} (kernels: {backend_name()})")
+    print(f"msetsig {__version__} (kernels: {BACKEND})")
     return 0
 
 

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import msetsig
 from msetsig import _kernels
 from msetsig._kernels import _fallback
 
@@ -149,7 +150,8 @@ def test_xcorr_no_overlap_is_zero():
 
 
 def test_backend_name_reported():
-    assert _kernels.backend_name() in ("compiled", "python")
+    assert msetsig.kernel_backend == _kernels.BACKEND
+    assert msetsig.kernel_backend in ("compiled", "python")
 
 
 @pytest.fixture(scope="module")

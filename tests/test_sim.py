@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from msetsig import Signal, errors, gen
 from msetsig.circuit import (
+    COMPONENT_KINDS,
     NETLIST_KINDS,
     Component,
     ComponentParams,
@@ -20,6 +22,7 @@ from msetsig.circuit import (
     simulate,
     switching_noise_rms,
 )
+from msetsig.circuit.netlist import _ARITY
 
 from conftest import rand_signal
 
@@ -31,6 +34,32 @@ def bind(net, rng, n=100, scale=1.0):
 def switch_net(**params):
     sw = Component("analog_switch", "out", ("a", "b", "c"), ComponentParams(**params))
     return Netlist(("a", "b", "c"), (sw,), "out")
+
+
+def per_edge_glitches(a, b, ctrl, amp, width, oversample):
+    """Switch output with glitches added one edge, then one sample, at a time."""
+    sel = ctrl >= 0.0
+    out = np.where(sel, a, b)
+    if amp == 0.0:
+        return out
+    n = out.size
+    for i in np.nonzero(sel[1:] != sel[:-1])[0] + 1:
+        start = 1.0 if sel[i] else -1.0
+        for j in range(width):
+            if i + j >= n:
+                break
+            out[i + j] += amp * start * (1.0 if (j // oversample) % 2 == 0 else -1.0)
+    return out
+
+
+@pytest.mark.parametrize("kind", COMPONENT_KINDS)
+def test_every_component_kind_simulates(kind, rng):
+    names = tuple(f"x{i}" for i in range(_ARITY[kind]))
+    comp = Component(kind, "out", names, cutoff_hz=10.0 if kind == "lowpass" else None)
+    inputs = {name: rand_signal(rng, n=16) for name in names}
+    out = simulate(Netlist(names, (comp,), "out"), inputs).nodes["out"]
+    assert out.dtype == np.float64 and out.shape == (16,)
+    assert np.all(np.isfinite(out))
 
 
 class TestIdealAgreement:
@@ -172,6 +201,30 @@ class TestSwitchGlitches:
             for i in (np.nonzero(sel[1:] != sel[:-1])[0] + 1):
                 windows.update((i, i + 1))
         assert set(hit.tolist()) <= windows
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ctrl=st.lists(st.booleans(), min_size=1, max_size=40),
+        width=st.integers(0, 9),
+        oversample=st.integers(1, 4),
+        amp=st.sampled_from([0.0, 0.1, 0.3, 1.0, 3.0, 7.5]),
+        scale=st.sampled_from([1e-17, 1.0, 1e17]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_overlapping_glitches_match_per_edge_loop(self, ctrl, width, oversample, amp, scale, seed):
+        # pulses wider than the spacing between edges overlap; at 1e+-17 the
+        # order in which they add to a sample changes the rounded result
+        rng = np.random.default_rng(seed)
+        n = len(ctrl)
+        a, b = (scale * rng.standard_normal(n) for _ in range(2))
+        c = np.where(ctrl, 1.0, -1.0)
+        net = switch_net(glitch_amplitude=amp, glitch_width_samples=width)
+        bound = {name: Signal(1.0, 0.0, x) for name, x in zip("abc", (a, b, c))}
+        out = simulate(net, bound, oversample=oversample).nodes["out"]
+        want = per_edge_glitches(
+            *(np.repeat(x, oversample) for x in (a, b, c)), amp, width * oversample, oversample
+        )[::oversample]
+        assert out.tobytes() == want.tobytes()
 
     def test_oversampled_glitch_decimates_to_grid_pattern(self):
         n = 16
