@@ -9,13 +9,13 @@ than a re-randomized Monte-Carlo estimate per level.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 import numpy as np
 
-from ..errors import BadParam, ShapeMismatch
+from ..errors import BadParam, ShapeMismatch, whole
 from ..ops import OPS
-from ..signal import Signal, SignSeries
+from ..signal import Signal
 from .netlist import Netlist
 from .sim import SimTrace, simulate
 
@@ -23,15 +23,14 @@ from .sim import SimTrace, simulate
 def math_reference(net: Netlist, inputs: Mapping[str, Signal]) -> Signal:
     """Exact mathematical output for a netlist built by build_netlist.
 
-    Sign-valued results come back as ordinary +1/-1 signals so they compare
-    directly against the simulated logic levels.
+    Sign-valued results come back as a SignSeries, a Signal whose +1/-1
+    samples compare directly against the simulated logic levels.
     """
     if net.kind is None:
         raise BadParam("netlist carries no operation tag; pass an explicit reference")
     if net.kind not in OPS:
         raise BadParam(f"no reference for netlist kind {net.kind!r}")
-    out = OPS[net.kind][1](*(inputs[name] for name in net.inputs))
-    return Signal(out.dt, out.t0, out.values) if isinstance(out, SignSeries) else out
+    return OPS[net.kind][1](*(inputs[name] for name in net.inputs))
 
 
 def compare_to_math(trace: SimTrace, reference: Signal) -> Dict[str, object]:
@@ -87,7 +86,6 @@ def delay_sweep(
     *,
     n_seeds: int = 20,
     seed: int = 0,
-    reference: Optional[Signal] = None,
 ) -> List[Tuple[int, float]]:
     """Mean rms error of seeded delay perturbations, one row per spread.
 
@@ -96,9 +94,10 @@ def delay_sweep(
     by round(direction * s), clamped at zero. Spread 0 therefore runs the
     netlist exactly as given.
     """
-    if n_seeds < 1:
-        raise BadParam("n_seeds must be >= 1")
-    ref = reference if reference is not None else math_reference(net, inputs)
+    n_seeds = whole(n_seeds, "n_seeds", 1)
+    seed = whole(seed, "seed", 0)
+    spreads = [whole(s, "spread", 0) for s in spreads]
+    ref = math_reference(net, inputs)
     base = np.array([c.params.delay_samples for c in net.components], dtype=float)
     directions = [
         np.random.default_rng((seed, i)).uniform(-1.0, 1.0, size=base.size)
@@ -106,12 +105,10 @@ def delay_sweep(
     ]
     rows: List[Tuple[int, float]] = []
     for spread in spreads:
-        if spread < 0 or spread != int(spread):
-            raise BadParam("spread values must be nonnegative integers")
         total = 0.0
         for direction in directions:
             delays = np.maximum(0, np.rint(base + direction * spread)).astype(int)
             trace = simulate(net.with_delays(delays), inputs)
             total += compare_to_math(trace, ref)["rms_error"]
-        rows.append((int(spread), total / n_seeds))
+        rows.append((spread, total / n_seeds))
     return rows

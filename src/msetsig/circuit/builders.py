@@ -72,35 +72,34 @@ _TOPOLOGIES = {
 NETLIST_KINDS = tuple(_TOPOLOGIES)
 
 
+def _arrivals(inputs, components) -> dict:
+    """Accumulated delay, in samples, at every node: a component's output
+    lags the latest of its non-ground inputs by the component's own delay."""
+    arrival = dict.fromkeys((GROUND, *inputs), 0)
+    for comp in components:
+        live = [arrival[n] for n in comp.inputs if n != GROUND]
+        arrival[comp.output] = max(live, default=0) + comp.params.delay_samples
+    return arrival
+
+
 def _balance_delays(inputs, components):
     """Insert pass-through delay pads so that, for every component, all
     non-ground inputs carry the same accumulated delay."""
-    arrival = {name: 0 for name in inputs}
+    arrival = _arrivals(inputs, components)
     balanced = []
     pad_count = 0
     for comp in components:
-        live = [n for n in comp.inputs if n != GROUND]
-        target = max((arrival[n] for n in live), default=0)
+        target = arrival[comp.output] - comp.params.delay_samples
         wired = []
         for name in comp.inputs:
-            if name == GROUND or arrival[name] == target:
-                wired.append(name)
-                continue
-            deficit = target - arrival[name]
-            pad_count += 1
-            pad_out = f"{name}_pad{pad_count}"
-            balanced.append(
-                Component(
-                    "delay",
-                    pad_out,
-                    (name,),
-                    ComponentParams(delay_samples=deficit),
-                )
-            )
-            arrival[pad_out] = target
-            wired.append(pad_out)
+            if name != GROUND and arrival[name] < target:
+                pad_count += 1
+                pad = Component("delay", f"{name}_pad{pad_count}", (name,),
+                                ComponentParams(delay_samples=target - arrival[name]))
+                balanced.append(pad)
+                name = pad.output
+            wired.append(name)
         balanced.append(replace(comp, inputs=tuple(wired)))
-        arrival[comp.output] = target + comp.params.delay_samples
     return balanced
 
 
@@ -122,9 +121,4 @@ def build_netlist(kind: str, params: Optional[ComponentParams] = None) -> Netlis
 def output_latency(net: Netlist) -> int:
     """Total accumulated delay, in samples, from the inputs to the output of
     a delay-balanced netlist."""
-    arrival = {name: 0 for name in net.inputs}
-    arrival[GROUND] = 0
-    for comp in net.components:
-        live = [arrival[n] for n in comp.inputs if n != GROUND]
-        arrival[comp.output] = max(live, default=0) + comp.params.delay_samples
-    return arrival[net.output]
+    return _arrivals(net.inputs, net.components)[net.output]

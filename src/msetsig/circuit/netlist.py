@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
-from ..errors import BadParam, NetlistError
+from ..errors import BadParam, NetlistError, whole
 
 GROUND = "gnd"
 
@@ -68,12 +68,10 @@ class ComponentParams:
     logic_low: float = -1.0
 
     def __post_init__(self):
-        if self.delay_samples < 0 or self.delay_samples != int(self.delay_samples):
-            raise BadParam("delay_samples must be a nonnegative integer")
-        if self.glitch_amplitude < 0:
-            raise BadParam("glitch_amplitude must be >= 0")
-        if self.glitch_width_samples < 0 or self.glitch_width_samples != int(self.glitch_width_samples):
-            raise BadParam("glitch_width_samples must be a nonnegative integer")
+        for name in ("delay_samples", "glitch_width_samples"):
+            object.__setattr__(self, name, whole(getattr(self, name), name, 0))
+        if not self.glitch_amplitude >= 0:
+            raise BadParam(f"glitch_amplitude must be >= 0, got {self.glitch_amplitude!r}")
         if not self.logic_high > self.logic_low:
             raise BadParam("logic_high must exceed logic_low")
 
@@ -160,7 +158,8 @@ class Netlist:
         if len(delays) != len(self.components):
             raise BadParam("need one delay per component")
         comps = tuple(
-            replace(c, params=replace(c.params, delay_samples=int(d)))
+            c if c.params.delay_samples == d
+            else replace(c, params=replace(c.params, delay_samples=d))
             for c, d in zip(self.components, delays)
         )
         return Netlist(self.inputs, comps, self.output, self.kind)

@@ -26,7 +26,7 @@ from typing import Dict, Mapping
 import numpy as np
 
 from .. import _kernels
-from ..errors import BadParam, MetadataMismatch, UnboundInput
+from ..errors import BadParam, MetadataMismatch, UnboundInput, whole
 from ..signal import Signal, check_same_shape
 from .netlist import GROUND, Component, Netlist
 
@@ -123,9 +123,7 @@ def simulate(net: Netlist, inputs: Mapping[str, Signal], oversample: int = 1) ->
         MetadataMismatch: bound signals disagree in length, dt, or t0.
         BadParam: unknown binding name or bad oversample factor.
     """
-    if oversample != int(oversample) or oversample < 1:
-        raise BadParam("oversample must be a positive integer")
-    oversample = int(oversample)
+    oversample = whole(oversample, "oversample", 1)
     for name in net.inputs:
         if name not in inputs:
             raise UnboundInput(name)

@@ -80,9 +80,8 @@ def _write_svg(path: str, series, title: str) -> None:
         fh.write(text)
 
 
-def _signal_series(label: str, sig) -> tuple:
-    data = sig.samples if isinstance(sig, Signal) else sig.values
-    return (label, sig.times(), data)
+def _signal_series(label: str, sig: Signal) -> tuple:
+    return (label, sig.times(), sig.samples)
 
 
 def cmd_gen(args) -> int:

@@ -25,6 +25,20 @@ class BadParam(MsetError):
     """A parameter value violates its constraint."""
 
 
+def whole(value, what: str, least: int | None = None) -> int:
+    """``value`` as an int, if it is a whole number no less than ``least``.
+    Integral floats such as 2.0 pass; anything else raises BadParam."""
+    try:
+        n = int(value)
+        ok = n == value and (least is None or n >= least)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        bound = "" if least is None else f" >= {least}"
+        raise BadParam(f"{what} must be an integer{bound}, got {value!r}")
+    return n
+
+
 class ShapeMismatch(MsetError):
     """Operands disagree in length, dt, or t0."""
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .correlation import CorrelationResult
 from .errors import IoError, ParseError
-from .signal import Signal, SignSeries
+from .signal import Signal
 
 
 def _fmt(x: float) -> str:
@@ -52,6 +52,8 @@ def _parse_header(line: str, lineno: int, keys: tuple[str, ...]) -> dict[str, fl
     for key in keys:
         if key not in found:
             raise ParseError(f"header missing {key!r}", lineno)
+    if not (found["dt"] > 0 and math.isfinite(found["dt"])):
+        raise ParseError(f"bad dt {found['dt']!r}", lineno)
     return found
 
 
@@ -70,8 +72,6 @@ def read_csv(path) -> Signal:
         samples.append(_parse_float(text, lineno))
     if not samples:
         raise ParseError("no samples after header", 1)
-    if meta["dt"] <= 0 or not math.isfinite(meta["dt"]):
-        raise ParseError(f"bad dt {meta['dt']!r}", 1)
     if not all(math.isfinite(s) for s in samples):
         bad = next(i for i, s in enumerate(samples) if not math.isfinite(s))
         raise ParseError("non-finite sample", bad + 2)
@@ -94,8 +94,8 @@ def read_correlation_csv(path) -> CorrelationResult:
         if len(parts) != 2:
             raise ParseError(f"expected 'lag,value', got {text!r}", lineno)
         lag = _parse_float(parts[0], lineno, "lag")
-        if lag != int(lag):
-            raise ParseError(f"non-integer lag {parts[0]!r}", lineno)
+        if not (abs(lag) < 2.0**63 and lag.is_integer()):
+            raise ParseError(f"bad lag {parts[0]!r}", lineno)
         lags.append(int(lag))
         values.append(_parse_float(parts[1], lineno))
     if not lags:
@@ -107,10 +107,9 @@ def write_csv(path, obj) -> None:
     """Write a Signal, SignSeries, CorrelationResult, or SimTrace as CSV."""
     from .circuit.sim import SimTrace
 
-    if isinstance(obj, (Signal, SignSeries)):
-        data = obj.samples if isinstance(obj, Signal) else obj.values
+    if isinstance(obj, Signal):
         body = [f"# dt={_fmt(obj.dt)} t0={_fmt(obj.t0)}"]
-        body.extend(_fmt(v) for v in data)
+        body.extend(_fmt(v) for v in obj.samples)
     elif isinstance(obj, CorrelationResult):
         body = [f"# dt={_fmt(obj.dt)}"]
         body.extend(f"{lag},{_fmt(v)}" for lag, v in zip(obj.lags, obj.values))

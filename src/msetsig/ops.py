@@ -56,7 +56,7 @@ def signify(a: Signal, s: SignSeries) -> Signal:
     signify(absolute(f), sign_fn(f)) == f exactly.
     """
     check_same_shape(a, s)
-    return a.with_samples(a.samples * s.values)
+    return a.with_samples(a.samples * s.samples)
 
 
 def common_product(f: Signal, g: Signal) -> Signal:

@@ -2,63 +2,27 @@
 
 A Signal is a uniformly sampled real-valued function of time: a sample
 interval ``dt``, a start time ``t0``, and a finite 1-D array of finite
-float64 samples. A SignSeries carries the same timing metadata but its
-values are restricted to exactly +1 or -1.
+float64 samples. A SignSeries is a Signal whose samples are exactly +1
+or -1.
 
-Both containers are immutable after construction and safe to share across
+Both are immutable after construction and safe to share across
 threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .errors import BadParam, NonFiniteSample, NonPositiveDt, ShapeMismatch
+from .errors import BadParam, NonFiniteSample, NonPositiveDt, ShapeMismatch, whole
 
 GEN_KINDS = ("sine", "cosine", "square", "gaussian_pulse", "triangle_pulse", "white_noise")
 
 
-class _Grid:
-    """Validation, length and time axis shared by Signal and SignSeries.
-
-    ``_data`` names the dataclass field holding the value array.
-    """
-
-    _data = ""
-
-    def _validate(self) -> np.ndarray:
-        dt, t0 = float(self.dt), float(self.t0)
-        if not (dt > 0.0 and np.isfinite(dt)):
-            raise NonPositiveDt(f"dt must be positive and finite, got {self.dt!r}")
-        if not np.isfinite(t0):
-            raise BadParam(f"t0 must be finite, got {self.t0!r}")
-        arr = np.array(getattr(self, self._data), dtype=np.float64, copy=True)
-        if arr.ndim != 1:
-            raise BadParam(f"{self._data} must be one-dimensional, got shape {arr.shape}")
-        if arr.size < 1:
-            raise BadParam(f"{type(self).__name__} must contain at least one value")
-        arr.setflags(write=False)
-        object.__setattr__(self, "dt", dt)
-        object.__setattr__(self, "t0", t0)
-        object.__setattr__(self, self._data, arr)
-        return arr
-
-    def __len__(self) -> int:
-        return getattr(self, self._data).size
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(dt={self.dt}, t0={self.t0}, n={len(self)})"
-
-    def times(self) -> np.ndarray:
-        """Time axis: t0 + k*dt for each sample index k."""
-        return self.t0 + self.dt * np.arange(len(self))
-
-
 @dataclass(frozen=True, eq=False, repr=False)
-class Signal(_Grid):
+class Signal:
     """A uniformly sampled real-valued signal.
 
     Attributes:
@@ -70,34 +34,59 @@ class Signal(_Grid):
     dt: float
     t0: float
     samples: np.ndarray
-    _data = "samples"
 
     def __post_init__(self):
-        bad = np.flatnonzero(~np.isfinite(self._validate()))
+        dt, t0 = float(self.dt), float(self.t0)
+        if not (dt > 0.0 and np.isfinite(dt)):
+            raise NonPositiveDt(f"dt must be positive and finite, got {self.dt!r}")
+        if not np.isfinite(t0):
+            raise BadParam(f"t0 must be finite, got {self.t0!r}")
+        arr = np.array(self.samples, dtype=np.float64, copy=True)
+        if arr.ndim != 1:
+            raise BadParam(f"samples must be one-dimensional, got shape {arr.shape}")
+        if arr.size < 1:
+            raise BadParam(f"{type(self).__name__} must contain at least one value")
+        self._check_values(arr)
+        arr.setflags(write=False)
+        object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "t0", t0)
+        object.__setattr__(self, "samples", arr)
+
+    def _check_values(self, arr: np.ndarray) -> None:
+        bad = np.flatnonzero(~np.isfinite(arr))
         if bad.size:
             raise NonFiniteSample(int(bad[0]))
+
+    def __len__(self) -> int:
+        return self.samples.size
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(dt={self.dt}, t0={self.t0}, n={len(self)})"
+
+    def times(self) -> np.ndarray:
+        """Time axis: t0 + k*dt for each sample index k."""
+        return self.t0 + self.dt * np.arange(len(self))
 
     def with_samples(self, samples) -> "Signal":
         """A new Signal with the same timing metadata and different samples."""
         return Signal(self.dt, self.t0, samples)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class SignSeries(_Grid):
-    """A +1/-1 valued series with Signal timing metadata."""
+class SignSeries(Signal):
+    """A Signal whose samples are all exactly +1 or -1."""
 
-    dt: float
-    t0: float
-    values: np.ndarray
-    _data = "values"
-
-    def __post_init__(self):
-        bad = np.flatnonzero(np.abs(self._validate()) != 1.0)
+    def _check_values(self, arr: np.ndarray) -> None:
+        bad = np.flatnonzero(np.abs(arr) != 1.0)
         if bad.size:
             raise BadParam(f"sign series value at index {int(bad[0])} is not +1 or -1")
 
+    @property
+    def values(self) -> np.ndarray:
+        """The samples, under the name the sign functions use."""
+        return self.samples
 
-def check_same_shape(*items: Union[Signal, SignSeries], error=ShapeMismatch) -> None:
+
+def check_same_shape(*items: Signal, error=ShapeMismatch) -> None:
     """Raise ``error`` unless all items agree exactly in length, dt, and t0.
 
     No implicit resampling or alignment is ever performed; callers align first.
@@ -140,19 +129,21 @@ def gen(
     samples; there is no global RNG state.
 
     Raises:
-        BadParam: negative amplitude or frequency, non-positive width, n < 1,
-            unknown kind, or white_noise without a seed.
+        BadParam: negative amplitude or frequency, non-positive width, a bad
+            n or seed, unknown kind, or white_noise without a seed.
     """
     if kind not in GEN_KINDS:
         raise BadParam(f"unknown generator kind {kind!r}; expected one of {', '.join(GEN_KINDS)}")
-    if n < 1:
-        raise BadParam(f"n must be >= 1, got {n}")
+    n = whole(n, "n", 1)
     if amplitude < 0:
         raise BadParam(f"amplitude must be >= 0, got {amplitude}")
     if frequency < 0:
         raise BadParam(f"frequency must be >= 0, got {frequency}")
 
-    t = t0 + dt * np.arange(n)
+    try:
+        t = t0 + dt * np.arange(n)
+    except ValueError:  # numpy cannot size an array of n elements
+        raise BadParam(f"n={n} is too many samples") from None
     if kind in ("sine", "cosine", "square"):
         arg = 2.0 * np.pi * frequency * t + phase
         if kind == "sine":
@@ -174,7 +165,7 @@ def gen(
     else:  # white_noise
         if seed is None:
             raise BadParam("white_noise requires an explicit seed")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(whole(seed, "seed", 0))
         samples = amplitude * rng.standard_normal(n)
     return Signal(dt, t0, samples)
 
@@ -185,6 +176,7 @@ def shift(f: Signal, k: int) -> Signal:
     The output has the same length and metadata; values shifted past either
     end are discarded. Boundary handling is zero-padding, not circular.
     """
+    k = whole(k, "k")
     n = len(f)
     out = np.zeros(n, dtype=np.float64)
     if k >= 0:

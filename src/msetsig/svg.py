@@ -6,8 +6,8 @@ nothing else, so output bytes are a pure function of the data.
 
 from __future__ import annotations
 
+from html import escape
 from typing import Sequence, Tuple
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -70,7 +70,7 @@ def line_plot(series: Sequence[Tuple[str, np.ndarray, np.ndarray]], title: str =
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         out.append(
             f'<text x="{_LEFT + 8}" y="{_TOP + 16 + 16 * i}" fill="{color}">'
-            f"{escape(str(label))}</text>"
+            f"{escape(str(label), quote=False)}</text>"
         )
     out.append(f'<text x="{_LEFT}" y="{_BOTTOM + 16}">{x_lo:.12g}</text>')
     out.append(f'<text x="{_RIGHT}" y="{_BOTTOM + 16}" text-anchor="end">{x_hi:.12g}</text>')
@@ -79,7 +79,7 @@ def line_plot(series: Sequence[Tuple[str, np.ndarray, np.ndarray]], title: str =
     if title:
         out.append(
             f'<text x="{(_LEFT + _RIGHT) / 2:.1f}" y="14" text-anchor="middle">'
-            f"{escape(title)}</text>"
+            f"{escape(title, quote=False)}</text>"
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -1,12 +1,17 @@
 """End-to-end command-line behavior, including exit codes and determinism."""
 
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from msetsig import Signal, gen, io as sio
 from msetsig.cli import main
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def run_ok(argv):
@@ -245,6 +250,13 @@ class TestSvgAndVersion:
         out = capsys.readouterr().out
         assert out.startswith("msetsig ")
         assert "kernels:" in out
+
+    def test_cli_import_loads_no_network_modules(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, msetsig.cli; print('urllib.request' in sys.modules)"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=60,
+        )
+        assert proc.stdout.strip() == "False", proc.stderr
 
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -7,11 +7,13 @@ import os
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from msetsig import Signal, errors, io as sio
+from msetsig import GEN_KINDS, Signal, errors, io as sio
+from msetsig.circuit import NETLIST_KINDS
 from msetsig.cli import main
 from msetsig.ops import OPS
 
@@ -113,3 +115,87 @@ def test_corr_file_contract(workdir, a, b, kind, mode):
     (workdir / "b.csv").write_bytes(b)
     check_contract(*run(["corr", "--kind", kind, "--mode", mode, "--a", str(workdir / "a.csv"),
                          "--b", str(workdir / "b.csv"), "--out", str(workdir / "r.csv"), "--metrics"]))
+
+
+floats_text = st.one_of(numbers, st.sampled_from(["1e999", "-0", "nan", "x", "", "0x10", "1_0"]))
+ints_text = st.one_of(st.integers(-(10**30), 10**30).map(str), st.sampled_from(["2.0", "x", "", "1e3", "-0"]))
+small_ints = st.one_of(st.integers(-5, 8).map(str), st.integers(-(10**30), -1).map(str), st.sampled_from(["2.0", "x"]))
+env_seeds = st.one_of(st.none(), ints_text, st.text(st.characters(blacklist_categories=("Cs",),
+                                                                   blacklist_characters="\x00"), max_size=6))
+
+
+def run_with_seed_env(argv, env_seed):
+    with mock.patch.dict(os.environ):
+        os.environ.pop("MSET_SEED", None)
+        if env_seed is not None:
+            os.environ["MSET_SEED"] = env_seed
+        return run(argv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(GEN_KINDS), n=st.one_of(st.integers(-3, 64), st.integers(10**19, 10**40)).map(str),
+       dt=floats_text, flags=st.dictionaries(st.sampled_from(["--amp", "--freq", "--phase", "--t0", "--center",
+                                                             "--width"]), floats_text),
+       seed=st.one_of(st.none(), ints_text), env_seed=env_seeds)
+@example(kind="white_noise", n="4", dt="0.5", flags={}, seed="-1", env_seed=None)
+@example(kind="white_noise", n="4", dt="0.5", flags={}, seed=None, env_seed="-3")
+@example(kind="sine", n=str(10**21), dt="0.1", flags={}, seed=None, env_seed=None)
+def test_gen_numeric_flags_contract(workdir, kind, n, dt, flags, seed, env_seed):
+    argv = ["gen", "--kind", kind, "--n", n, f"--dt={dt}", "--out", str(workdir / "gen.csv")]
+    argv += [f"{flag}={value}" for flag, value in flags.items()]
+    argv += [] if seed is None else [f"--seed={seed}"]
+    check_contract(*run_with_seed_env(argv, env_seed))
+
+
+sim_flags = st.fixed_dictionaries({}, optional={
+    "--delay": st.one_of(small_ints, st.integers(10**19, 10**30).map(str)),
+    "--glitch-amp": floats_text,
+    "--glitch-w": st.one_of(small_ints, st.integers(10**19, 10**30).map(str)),
+    "--lowpass": floats_text,
+})
+
+
+@settings(max_examples=150, deadline=None)
+@given(netlist=st.sampled_from(NETLIST_KINDS), flags=sim_flags, compare=st.booleans(),
+       oversample=st.one_of(st.none(), small_ints))
+@example(netlist="absolute", flags={"--glitch-amp": "nan"}, compare=True, oversample=None)
+def test_sim_numeric_flags_contract(workdir, netlist, flags, compare, oversample):
+    argv = ["sim", "--netlist", netlist, "--a", str(workdir / "f.csv"), "--b", str(workdir / "g.csv"),
+            "--trace", str(workdir / "trace.csv")]
+    argv += [f"{flag}={value}" for flag, value in flags.items()]
+    argv += ["--compare"] if compare else []
+    argv += [] if oversample is None else [f"--oversample={oversample}"]
+    check_contract(*run(argv))
+
+
+spreads = st.one_of(st.integers(-5, 5).map(str),
+                    st.tuples(st.integers(-5, 5), st.integers(-5, 5)).map(lambda p: f"{p[0]}..{p[1]}"),
+                    st.sampled_from(["1.5", "x", "..", "1..x"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(netlist=st.sampled_from(NETLIST_KINDS), flags=sim_flags, spread=spreads,
+       seeds=st.one_of(st.none(), st.integers(-5, 4).map(str), st.sampled_from(["2.0", "x"])),
+       seed=st.one_of(st.none(), ints_text))
+@example(netlist="sign", flags={}, spread="0..2", seeds="2", seed="-1")
+def test_sweep_numeric_flags_contract(workdir, netlist, flags, spread, seeds, seed):
+    argv = ["sweep", "--netlist", netlist, "--a", str(workdir / "f.csv"), "--b", str(workdir / "g.csv"),
+            f"--spread={spread}", "--out", str(workdir / "sweep.csv")]
+    argv += [f"{flag}={value}" for flag, value in flags.items()]
+    argv += [] if seeds is None else [f"--seeds={seeds}"]
+    argv += [] if seed is None else [f"--seed={seed}"]
+    check_contract(*run(argv))
+
+
+@pytest.mark.parametrize("argv,env_seed", [
+    (["gen", "--kind", "white_noise", "--dt", "0.1", "--n", "4", "--seed", "-1", "--out", "{out}"], None),
+    (["gen", "--kind", "white_noise", "--dt", "0.1", "--n", "4", "--out", "{out}"], "-3"),
+    (["gen", "--kind", "sine", "--dt", "0.1", "--n", str(10**21), "--out", "{out}"], None),
+    (["sweep", "--netlist", "sign", "--a", "{f}", "--spread", "0..1", "--seeds", "2", "--seed", "-1",
+      "--out", "{out}"], None),
+    (["sim", "--netlist", "sign", "--a", "{f}", "--glitch-amp", "nan", "--trace", "{out}"], None),
+], ids=["gen_seed", "mset_seed_env", "gen_n_unsizable", "sweep_seed", "sim_glitch_amp_nan"])
+def test_bad_number_is_bad_param(workdir, argv, env_seed):
+    argv = [a.format(f=workdir / "f.csv", out=workdir / "bad.csv") for a in argv]
+    code, err = run_with_seed_env(argv, env_seed)
+    assert code == 2 and err.startswith("BadParam:") and "Traceback" not in err, err

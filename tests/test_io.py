@@ -121,6 +121,22 @@ def test_correlation_bad_row(tmp_path):
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize("text,line", [
+    ("# dt=-1\n0,1.0\n", 1),
+    ("# dt=nan\n0,1.0\n", 1),
+    ("# dt=0.5\n0,1.0\nnan,2.0\n", 3),
+    ("# dt=0.5\ninf,1.0\n", 2),
+    ("# dt=0.5\n-inf,1.0\n", 2),
+    ("# dt=0.5\n1e300,1.0\n", 2),
+], ids=["dt_negative", "dt_nan", "lag_nan", "lag_inf", "lag_minus_inf", "lag_1e300"])
+def test_correlation_bad_dt_or_lag_cites_line(tmp_path, text, line):
+    p = tmp_path / "r.csv"
+    p.write_text(text)
+    with pytest.raises(errors.ParseError) as exc:
+        read_correlation_csv(p)
+    assert exc.value.line == line
+
+
 def test_simtrace_csv(tmp_path):
     net = build_netlist("absolute")
     f = Signal(0.1, 0.0, [1.0, -2.0, 3.0])

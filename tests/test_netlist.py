@@ -35,6 +35,7 @@ class TestComponentParams:
             {"glitch_width_samples": -2},
             {"logic_high": -1.0, "logic_low": 1.0},
             {"logic_high": 0.0, "logic_low": 0.0},
+            {"glitch_amplitude": float("nan")},
         ],
     )
     def test_rejects(self, kw):

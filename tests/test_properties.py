@@ -1,6 +1,6 @@
 """Properties of the DSL round trip and depth bound, the signal grid, and the
-finiteness and peak contracts of the correlation layer, and finite SVG
-coordinates."""
+finiteness and peak contracts of the correlation layer, finite SVG
+coordinates, the whole-number parameters, and the sign series as a signal."""
 
 import math
 import sys
@@ -18,11 +18,23 @@ from msetsig import (
     common_functional,
     errors,
     evaluate,
+    gen,
     jaccard_index,
     parse,
     peak_metrics,
     pretty_print,
+    shift,
+    sign_fn,
     svg,
+    write_csv,
+)
+from msetsig.circuit import (
+    ComponentParams,
+    build_netlist,
+    delay_sweep,
+    format_netlist,
+    parse_netlist,
+    simulate,
 )
 from msetsig.dsl import MAX_DEPTH
 from msetsig.signal import check_same_shape
@@ -131,3 +143,83 @@ def test_functionals_raise_on_overflow(fn):
     f = Signal(1.0, 0.0, [1e308, 1e308])
     with np.errstate(over="ignore"), pytest.raises(errors.BadParam):
         fn(f, f)
+
+
+# Every whole-number parameter, as a call that gives the result's bytes, and
+# which valid values the test may run it with: a huge n_seeds or oversample
+# would run too long, and an n below 10**19 might allocate, so such draws are
+# negated. The negative, fractional and non-numeric draws reach every call.
+_SWEEP_IN = {"f": Signal(0.5, 0.0, [1.0, -2.0, 0.5, 3.0, -1.0, 0.25])}
+
+
+def _sim_bytes(params, oversample=1):
+    net = build_netlist("absolute", params)
+    trace = simulate(net, {"f": Signal(0.5, 0.0, [1.0, -2.0, 0.5, 3.0, -1.0])}, oversample)
+    return format_netlist(net).encode() + b"".join(w.tobytes() for w in trace.nodes.values())
+
+
+def _sweep_bytes(spreads, **kw):
+    net = build_netlist("absolute", ComponentParams(delay_samples=1))
+    return repr(delay_sweep(net, _SWEEP_IN, spreads, **kw)).encode()
+
+
+WHOLE_PARAMS = {
+    "gen.n": (lambda v: gen("sine", 0.1, v).samples.tobytes(), lambda v: v <= 64 or v >= 10**19),
+    "gen.seed": (lambda v: gen("white_noise", 0.1, 8, seed=v).samples.tobytes(), None),
+    "shift.k": (lambda v: shift(Signal(1.0, 0.0, [1.0, 2.0, 3.0]), v).samples.tobytes(), None),
+    "delay_samples": (lambda v: _sim_bytes(ComponentParams(delay_samples=v)), None),
+    "glitch_width_samples": (
+        lambda v: _sim_bytes(ComponentParams(glitch_amplitude=0.5, glitch_width_samples=v)), None),
+    "simulate.oversample": (lambda v: _sim_bytes(ComponentParams(), v), lambda v: v <= 8),
+    "delay_sweep.n_seeds": (lambda v: _sweep_bytes([1], n_seeds=v), lambda v: v <= 4),
+    "delay_sweep.spread": (lambda v: _sweep_bytes([0, v], n_seeds=2), None),
+    "delay_sweep.seed": (lambda v: _sweep_bytes([2], n_seeds=2, seed=v), None),
+}
+
+whole_draws = st.one_of(
+    st.integers(-(10**40), -1),
+    st.integers(0, 8),
+    st.integers(10**19, 10**40),
+    st.integers(0, 8).map(float),
+    st.floats(-1e6, 1e6).filter(lambda x: not x.is_integer()),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300, -1e300, "2", "x", None]),
+)
+
+
+@pytest.mark.parametrize("name", list(WHOLE_PARAMS))
+@settings(max_examples=60, deadline=None)
+@given(value=whole_draws)
+def test_whole_number_parameters_succeed_or_raise_bad_param(name, value):
+    call, runs = WHOLE_PARAMS[name]
+    if runs is not None and isinstance(value, (int, float)) and not runs(value):
+        value = -value
+    try:
+        got = call(value)
+    except errors.BadParam:
+        return
+    if isinstance(value, float):
+        assert got == call(int(value))
+
+
+def test_sign_series_is_a_signal():
+    s = sign_fn(Signal(0.5, 1.0, [3.0, -1.0, 0.0]))
+    assert isinstance(s, Signal)
+    assert s.values is s.samples
+    assert s.with_samples([2.0]).samples.tolist() == [2.0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(xs=st.lists(finite, min_size=1, max_size=8),
+       dt=st.floats(1e-300, 1e300), t0=finite)
+def test_sign_series_csv_bytes(tmp_path_factory, xs, dt, t0):
+    path = tmp_path_factory.mktemp("sign") / "s.csv"
+    write_csv(path, sign_fn(Signal(dt, t0, xs)))
+    want = [f"# dt={dt!r} t0={t0!r}"] + ["1.0" if x >= 0 else "-1.0" for x in xs]
+    assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+
+
+def test_integral_float_delay_formats_as_an_integer():
+    net = build_netlist("absolute", ComponentParams(delay_samples=1.0, glitch_width_samples=3.0))
+    text = format_netlist(net)
+    assert text == format_netlist(build_netlist("absolute", ComponentParams(1, 0.0, 3)))
+    assert format_netlist(parse_netlist(text)) == text
