@@ -13,11 +13,12 @@ from typing import Dict, Iterable, List, Mapping, Tuple
 
 import numpy as np
 
+from ..correlation import _finite
 from ..errors import BadParam, ShapeMismatch, whole
 from ..ops import OPS
 from ..signal import Signal
 from .netlist import Netlist
-from .sim import SimTrace, simulate
+from .sim import SimTrace, _run
 
 
 def math_reference(net: Netlist, inputs: Mapping[str, Signal]) -> Signal:
@@ -44,12 +45,13 @@ def compare_to_math(trace: SimTrace, reference: Signal) -> Dict[str, object]:
         raise ShapeMismatch(
             f"trace length {out.size} vs reference length {len(reference)}"
         )
-    err = out - reference.samples
-    return {
-        "rms_error": float(np.sqrt(np.mean(err * err))),
-        "max_error": float(np.max(np.abs(err))) if err.size else 0.0,
-        "error_signal": Signal(reference.dt, reference.t0, err),
-    }
+    with np.errstate(over="ignore"):
+        err = out - reference.samples
+        return {
+            "rms_error": _finite(float(np.sqrt(np.mean(err * err))), "rms error"),
+            "max_error": _finite(float(np.max(np.abs(err))), "max error"),
+            "error_signal": Signal(reference.dt, reference.t0, err),
+        }
 
 
 def quiet_copy(net: Netlist) -> Netlist:
@@ -66,17 +68,20 @@ def switching_noise_rms(
 ) -> float:
     """rms of the switching-noise component of the output.
 
-    Runs the netlist as configured and again with glitches silenced, and
-    measures the rms of the difference. Comparing against the quiet run of
-    the same topology isolates the noise the switches inject from whatever
-    the configuration's nominal response is (a filter's lag, a delay
-    chain's latency), which is the number a mitigation stage is trying to
-    shrink.
+    Runs the netlist as configured and with glitches silenced, as one batch
+    of two rows, and measures the rms of the difference. Comparing against
+    the quiet run of the same topology isolates the noise the switches inject
+    from whatever the configuration's nominal response is (a filter's lag, a
+    delay chain's latency), which is the number a mitigation stage is trying
+    to shrink.
     """
-    noisy = simulate(net, inputs, oversample)
-    clean = simulate(quiet_copy(net), inputs, oversample)
-    diff = noisy.nodes[net.output] - clean.nodes[net.output]
-    return float(np.sqrt(np.mean(diff * diff)))
+    own = [c.params for c in net.components]
+    rows = _run(net, inputs, oversample, [[p.delay_samples for p in own]],
+                [[p.glitch_amplitude for p in own], [0.0] * len(own)])
+    noisy, clean = np.concatenate([nodes[net.output] for nodes in rows])
+    with np.errstate(over="ignore"):
+        diff = noisy - clean
+        return _finite(float(np.sqrt(np.mean(diff * diff))), "switching noise rms")
 
 
 def delay_sweep(
@@ -99,16 +104,18 @@ def delay_sweep(
     spreads = [whole(s, "spread", 0) for s in spreads]
     ref = math_reference(net, inputs)
     base = np.array([c.params.delay_samples for c in net.components], dtype=float)
-    directions = [
+    directions = np.array([
         np.random.default_rng((seed, i)).uniform(-1.0, 1.0, size=base.size)
         for i in range(n_seeds)
-    ]
+    ])
     rows: List[Tuple[int, float]] = []
     for spread in spreads:
+        delays = np.maximum(0, np.rint(base + directions * spread))
         total = 0.0
-        for direction in directions:
-            delays = np.maximum(0, np.rint(base + direction * spread)).astype(int)
-            trace = simulate(net.with_delays(delays), inputs)
-            total += compare_to_math(trace, ref)["rms_error"]
-        rows.append((spread, total / n_seeds))
+        for nodes in _run(net, inputs, 1, delays, [[c.params.glitch_amplitude for c in net.components]]):
+            with np.errstate(over="ignore"):
+                err = nodes[net.output] - ref.samples
+                for rms in np.sqrt(np.mean(err * err, axis=1)).tolist():
+                    total += rms
+        rows.append((spread, _finite(total / n_seeds, "sweep rms error")))
     return rows

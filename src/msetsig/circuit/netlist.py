@@ -20,7 +20,7 @@ Low-pass components carry an extra ``fc=<float>`` token, summers carry
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from ..errors import BadParam, NetlistError, whole
@@ -151,18 +151,6 @@ class Netlist:
                 continue
             counts[comp.kind] = counts.get(comp.kind, 0) + 1
         return counts
-
-    def with_delays(self, delays) -> "Netlist":
-        """Copy of this netlist with per-component delays replaced, one entry
-        per component in order."""
-        if len(delays) != len(self.components):
-            raise BadParam("need one delay per component")
-        comps = tuple(
-            c if c.params.delay_samples == d
-            else replace(c, params=replace(c.params, delay_samples=d))
-            for c, d in zip(self.components, delays)
-        )
-        return Netlist(self.inputs, comps, self.output, self.kind)
 
 
 def format_netlist(net: Netlist) -> str:

@@ -142,8 +142,10 @@ def gen(
 
     try:
         t = t0 + dt * np.arange(n)
-    except ValueError:  # numpy cannot size an array of n elements
-        raise BadParam(f"n={n} is too many samples") from None
+    except (ValueError, MemoryError):  # numpy cannot size or allocate n elements
+        t = None
+    if t is None or t.size != n:  # near 2**63, arange sizes n elements as none
+        raise BadParam(f"n={n} is too many samples")
     if kind in ("sine", "cosine", "square"):
         arg = 2.0 * np.pi * frequency * t + phase
         if kind == "sine":

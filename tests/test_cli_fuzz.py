@@ -7,8 +7,10 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -27,6 +29,9 @@ def workdir(tmp_path_factory):
     d = tmp_path_factory.mktemp("fuzz")
     sio.write_csv(d / "f.csv", Signal(0.5, 0.0, [1.0, -2.0, 0.0, 3.5]))
     sio.write_csv(d / "g.csv", Signal(0.5, 0.0, [0.25, 2.0, -1.0, -3.0]))
+    big = 1.7e308 * np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
+    sio.write_csv(d / "big_f.csv", Signal(0.5, 0.0, big))
+    sio.write_csv(d / "big_g.csv", Signal(0.5, 0.0, -np.roll(big, 1)))
     return d
 
 
@@ -194,8 +199,26 @@ def test_sweep_numeric_flags_contract(workdir, netlist, flags, spread, seeds, se
     (["sweep", "--netlist", "sign", "--a", "{f}", "--spread", "0..1", "--seeds", "2", "--seed", "-1",
       "--out", "{out}"], None),
     (["sim", "--netlist", "sign", "--a", "{f}", "--glitch-amp", "nan", "--trace", "{out}"], None),
-], ids=["gen_seed", "mset_seed_env", "gen_n_unsizable", "sweep_seed", "sim_glitch_amp_nan"])
+    (["sim", "--netlist", "sign", "--a", "{f}", "--oversample", str(10**19), "--trace", "{out}"], None),
+    (["sim", "--netlist", "sign", "--a", "{f}", "--oversample", str(2**57), "--trace", "{out}"], None),
+    (["gen", "--kind", "sine", "--dt", "0.1", "--n", str(2**59), "--out", "{out}"], None),
+    (["gen", "--kind", "sine", "--dt", "0.1", "--n", str(2**63 - 1), "--out", "{out}"], None),
+    (["sweep", "--netlist", "union", "--a", "{big_f}", "--b", "{big_g}", "--delay", "1", "--spread", "0..1",
+      "--out", "{out}"], None),
+], ids=["gen_seed", "mset_seed_env", "gen_n_unsizable", "sweep_seed", "sim_glitch_amp_nan",
+        "sim_oversample_unsizable", "sim_oversample_unallocatable", "gen_n_unallocatable", "gen_n_int64_max",
+        "sweep_error_overflows"])
 def test_bad_number_is_bad_param(workdir, argv, env_seed):
-    argv = [a.format(f=workdir / "f.csv", out=workdir / "bad.csv") for a in argv]
+    argv = [a.format(f=workdir / "f.csv", out=workdir / "bad.csv", big_f=workdir / "big_f.csv",
+                     big_g=workdir / "big_g.csv") for a in argv]
     code, err = run_with_seed_env(argv, env_seed)
     assert code == 2 and err.startswith("BadParam:") and "Traceback" not in err, err
+
+
+def test_huge_spread_sweeps(workdir):
+    out = workdir / "huge.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = run(["sweep", "--netlist", "sign", "--a", str(workdir / "f.csv"), "--spread", str(10**20),
+                         "--seeds", "1", "--out", str(out)])
+    assert (code, err) == (0, "") and str(10**20) in out.read_text()

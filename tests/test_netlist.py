@@ -122,14 +122,6 @@ class TestNetlist:
         net = Netlist(("f",), (comp("inverting_amp", "x", "f"),), "f")
         assert net.output == "f"
 
-    def test_with_delays(self):
-        net = build_netlist("absolute")
-        out = net.with_delays([1, 2, 3])
-        assert [c.params.delay_samples for c in out.components] == [1, 2, 3]
-        assert out.kind == "absolute"
-        with pytest.raises(errors.BadParam):
-            net.with_delays([1])
-
 
 class TestBuilders:
     def test_unknown_kind(self):

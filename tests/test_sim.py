@@ -1,10 +1,11 @@
 """Behavioral simulation: ideal agreement, delay transients, switch glitches."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from msetsig import Signal, errors, gen
 from msetsig.circuit import (
@@ -22,6 +23,7 @@ from msetsig.circuit import (
     simulate,
     switching_noise_rms,
 )
+from msetsig.circuit import analysis, sim
 from msetsig.circuit.netlist import _ARITY
 
 from conftest import rand_signal
@@ -115,7 +117,9 @@ class TestDelays:
 
     def test_unbalanced_comparator_errs_only_at_crossings(self):
         f = gen("sine", 0.001, 1000, frequency=3.0)
-        net = build_netlist("absolute").with_delays([1, 0, 0])
+        base = build_netlist("absolute")
+        late = replace(base.components[0], params=ComponentParams(delay_samples=1))
+        net = Netlist(base.inputs, (late, *base.components[1:]), base.output, base.kind)
         out = simulate(net, {"f": f}).nodes["out"]
         err = out - np.abs(f.samples)
         s = np.where(f.samples >= 0.0, 1.0, -1.0)
@@ -211,6 +215,8 @@ class TestSwitchGlitches:
         scale=st.sampled_from([1e-17, 1.0, 1e17]),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(ctrl=[False] + [True] * 39, width=1000, oversample=3, amp=0.3, scale=1.0, seed=0)
+    @example(ctrl=[False, True] * 20, width=1000, oversample=2, amp=7.5, scale=1e17, seed=1)
     def test_overlapping_glitches_match_per_edge_loop(self, ctrl, width, oversample, amp, scale, seed):
         # pulses wider than the spacing between edges overlap; at 1e+-17 the
         # order in which they add to a sample changes the rounded result
@@ -389,3 +395,102 @@ class TestAnalysis:
         a = delay_sweep(net, inputs, [0, 1, 3], n_seeds=3, seed=7)
         b = delay_sweep(net, inputs, [0, 1, 3], n_seeds=3, seed=7)
         assert a == b
+
+
+def oracle_sweep(net, inputs, spreads, n_seeds, seed):
+    """delay_sweep one row at a time: simulate the netlist rebuilt with each
+    seed's delays, as whole numbers of any size."""
+    ref = math_reference(net, inputs)
+    base = np.array([c.params.delay_samples for c in net.components], dtype=float)
+    rows = []
+    for spread in spreads:
+        total = 0.0
+        for i in range(n_seeds):
+            direction = np.random.default_rng((seed, i)).uniform(-1.0, 1.0, size=base.size)
+            delays = [max(0, int(d)) for d in np.rint(base + direction * spread)]
+            comps = tuple(replace(c, params=replace(c.params, delay_samples=d))
+                          for c, d in zip(net.components, delays))
+            trace = simulate(Netlist(net.inputs, comps, net.output, net.kind), inputs)
+            total += compare_to_math(trace, ref)["rms_error"]
+        rows.append((spread, total / n_seeds))
+    return rows
+
+
+def oracle_noise(net, inputs, oversample):
+    """switching_noise_rms from two separate runs, the second with every glitch silenced."""
+    noisy = simulate(net, inputs, oversample).nodes[net.output]
+    diff = noisy - simulate(quiet_copy(net), inputs, oversample).nodes[net.output]
+    return float(np.sqrt(np.mean(diff * diff)))
+
+
+def bind_kind(net, rng, n, scale=1.0):
+    inputs = bind(net, rng, n=n, scale=scale)
+    if net.kind == "signify":
+        inputs["s"] = Signal(inputs["s"].dt, inputs["s"].t0, np.where(inputs["s"].samples >= 0.0, 1.0, -1.0))
+    return inputs
+
+
+class TestBatchedRows:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(NETLIST_KINDS),
+        delay=st.integers(0, 3),
+        amp=st.sampled_from([0.0, 0.2, 1.5]),
+        width=st.integers(0, 5),
+        oversample=st.integers(1, 3),
+        n_seeds=st.integers(1, 7),
+        spreads=st.lists(st.one_of(st.integers(0, 5), st.just(10**20)), min_size=1, max_size=6),
+        n=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_are_bitwise_the_per_row_oracle(self, kind, delay, amp, width, oversample, n_seeds, spreads, n, seed):
+        net = build_netlist(kind, ComponentParams(
+            delay_samples=delay, glitch_amplitude=amp, glitch_width_samples=width))
+        rng = np.random.default_rng(seed)
+        inputs = bind_kind(net, rng, n, scale=10.0 ** rng.uniform(-3, 3))
+        got = delay_sweep(net, inputs, spreads, n_seeds=n_seeds, seed=seed)
+        assert repr(got) == repr(oracle_sweep(net, inputs, spreads, n_seeds, seed))
+        noise = switching_noise_rms(net, inputs, oversample)
+        assert repr(noise) == repr(oracle_noise(net, inputs, oversample))
+
+    def test_split_batches_give_the_same_bytes(self, rng, monkeypatch):
+        net = build_netlist("common_product", ComponentParams(delay_samples=1, glitch_amplitude=0.2))
+        inputs = bind(net, rng, n=50)
+        rows = delay_sweep(net, inputs, range(6), n_seeds=7, seed=3)
+        noise = switching_noise_rms(net, inputs, 2)
+        runs = []
+
+        def counted(*args):
+            for nodes in sim._run(*args):
+                runs.append(len(nodes[net.output]))
+                yield nodes
+
+        monkeypatch.setattr(analysis, "_run", counted)
+        monkeypatch.setattr(sim, "_BATCH_SAMPLES", 120)
+        assert repr(delay_sweep(net, inputs, range(6), n_seeds=7, seed=3)) == repr(rows)
+        assert runs == [2, 2, 2, 1] * 6
+        assert repr(switching_noise_rms(net, inputs, 2)) == repr(noise)
+        assert runs[24:] == [1, 1]
+
+    @pytest.mark.parametrize("kind", ["intersection", "union", "absolute", "signify", "common_product"])
+    def test_overflowing_error_raises_bad_param(self, kind):
+        big = 1.7e308 * np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
+        net = build_netlist(kind, ComponentParams(delay_samples=1))
+        inputs = {name: Signal(1.0, 0.0, x) for name, x in zip(net.inputs, (big, -np.roll(big, 1)))}
+        if kind == "signify":
+            inputs["s"] = Signal(1.0, 0.0, -np.sign(np.roll(big, 1)))
+        with pytest.raises(errors.BadParam, match="must be finite"):
+            delay_sweep(net, inputs, [0, 1], n_seeds=2)
+        with pytest.raises(errors.BadParam, match="must be finite"):
+            compare_to_math(simulate(net, inputs), math_reference(net, inputs))
+
+    def test_overflowing_noise_raises_bad_param(self, rng):
+        net = build_netlist("common_product", ComponentParams(glitch_amplitude=1e200))
+        with pytest.raises(errors.BadParam, match="must be finite"):
+            switching_noise_rms(net, bind(net, rng, n=200))
+
+    @pytest.mark.parametrize("oversample", [2**57, 10**19])
+    def test_unallocatable_oversample_is_bad_param(self, oversample):
+        f = Signal(1.0, 0.0, [1.0, -2.0, 0.5, 3.0])
+        with pytest.raises(errors.BadParam, match="too many samples"):
+            simulate(build_netlist("sign"), {"f": f}, oversample)
