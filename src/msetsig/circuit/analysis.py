@@ -8,13 +8,13 @@ than a re-randomized Monte-Carlo estimate per level.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 import numpy as np
 
-from ..correlation import _finite
-from ..errors import BadParam, ShapeMismatch, whole
+from ..errors import BadParam, ShapeMismatch, finite, whole
 from ..ops import OPS
 from ..signal import Signal
 from .netlist import Netlist
@@ -48,8 +48,8 @@ def compare_to_math(trace: SimTrace, reference: Signal) -> Dict[str, object]:
     with np.errstate(over="ignore"):
         err = out - reference.samples
         return {
-            "rms_error": _finite(float(np.sqrt(np.mean(err * err))), "rms error"),
-            "max_error": _finite(float(np.max(np.abs(err))), "max error"),
+            "rms_error": finite(float(np.sqrt(np.mean(err * err))), "rms error"),
+            "max_error": finite(float(np.max(np.abs(err))), "max error"),
             "error_signal": Signal(reference.dt, reference.t0, err),
         }
 
@@ -81,7 +81,7 @@ def switching_noise_rms(
     noisy, clean = np.concatenate([nodes[net.output] for nodes in rows])
     with np.errstate(over="ignore"):
         diff = noisy - clean
-        return _finite(float(np.sqrt(np.mean(diff * diff))), "switching noise rms")
+        return finite(float(np.sqrt(np.mean(diff * diff))), "switching noise rms")
 
 
 def delay_sweep(
@@ -103,19 +103,21 @@ def delay_sweep(
     seed = whole(seed, "seed", 0)
     spreads = [whole(s, "spread", 0) for s in spreads]
     ref = math_reference(net, inputs)
-    base = np.array([c.params.delay_samples for c in net.components], dtype=float)
+    # whole numbers past the float range clamp to its end, where any delay is past the record
+    base = np.array([min(c.params.delay_samples, sys.float_info.max) for c in net.components], dtype=float)
     directions = np.array([
         np.random.default_rng((seed, i)).uniform(-1.0, 1.0, size=base.size)
         for i in range(n_seeds)
     ])
     rows: List[Tuple[int, float]] = []
     for spread in spreads:
-        delays = np.maximum(0, np.rint(base + directions * spread))
+        with np.errstate(over="ignore"):
+            delays = np.maximum(0, np.rint(base + directions * min(spread, sys.float_info.max)))
         total = 0.0
         for nodes in _run(net, inputs, 1, delays, [[c.params.glitch_amplitude for c in net.components]]):
             with np.errstate(over="ignore"):
                 err = nodes[net.output] - ref.samples
                 for rms in np.sqrt(np.mean(err * err, axis=1)).tolist():
                     total += rms
-        rows.append((spread, _finite(total / n_seeds, "sweep rms error")))
+        rows.append((spread, finite(total / n_seeds, "sweep rms error")))
     return rows

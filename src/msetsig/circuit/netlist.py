@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from ..errors import BadParam, NetlistError, whole
+from ..errors import BadParam, NetlistError, finite, whole
 
 GROUND = "gnd"
 
@@ -70,8 +70,8 @@ class ComponentParams:
     def __post_init__(self):
         for name in ("delay_samples", "glitch_width_samples"):
             object.__setattr__(self, name, whole(getattr(self, name), name, 0))
-        if not self.glitch_amplitude >= 0:
-            raise BadParam(f"glitch_amplitude must be >= 0, got {self.glitch_amplitude!r}")
+        for name, least in (("glitch_amplitude", 0), ("logic_high", None), ("logic_low", None)):
+            finite(getattr(self, name), name, least)
         if not self.logic_high > self.logic_low:
             raise BadParam("logic_high must exceed logic_low")
 

@@ -26,8 +26,7 @@ from typing import Dict, Mapping
 import numpy as np
 
 from .. import _kernels
-from ..correlation import _finite
-from ..errors import BadParam, MetadataMismatch, UnboundInput, whole
+from ..errors import BadParam, MetadataMismatch, UnboundInput, finite, whole
 from ..signal import Signal, check_same_shape
 from .netlist import GROUND, Component, Netlist
 
@@ -51,7 +50,7 @@ class SimTrace:
         if len(lengths) != 1:
             raise BadParam("trace waveforms differ in length")
         for name, wave in self.nodes.items():
-            _finite(wave, f"waveform at node {name!r}")
+            finite(wave, f"waveform at node {name!r}")
         if self.output not in self.nodes:
             raise BadParam(f"output node {self.output!r} not recorded")
 
@@ -154,11 +153,12 @@ def _run(net: Netlist, inputs: Mapping[str, Signal], oversample: int, delays, am
     size = max(1, _BATCH_SAMPLES // (len(first) * oversample))
     for lo in range(0, len(steps), size):
         rows, values = slice(lo, lo + size), dict(sources)
-        for j, comp in enumerate(net.components):
-            ins = [_delayed(values[name], steps[rows, j]) for name in comp.inputs]
-            wave = _BEHAVIOUR[comp.kind](comp, ins, first.dt / oversample, oversample, amps[rows, j])
-            values[comp.output] = np.asarray(wave, dtype=np.float64)
-        nodes = {k: _finite(np.ascontiguousarray(w[:, ::oversample]), f"waveform at node {k!r}")
+        with np.errstate(all="ignore"):  # an overflowed node fails the finite check below
+            for j, comp in enumerate(net.components):
+                ins = [_delayed(values[name], steps[rows, j]) for name in comp.inputs]
+                wave = _BEHAVIOUR[comp.kind](comp, ins, first.dt / oversample, oversample, amps[rows, j])
+                values[comp.output] = np.asarray(wave, dtype=np.float64)
+        nodes = {k: finite(np.ascontiguousarray(w[:, ::oversample]), f"waveform at node {k!r}")
                  for k, w in values.items() if k != GROUND}
         yield {k: np.broadcast_to(w, (len(steps[rows]), len(first))) for k, w in nodes.items()}
 

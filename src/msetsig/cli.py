@@ -74,17 +74,13 @@ def _default_seed(explicit: Optional[int]) -> int:
     return 0
 
 
-def _write_svg(path: str, series, title: str) -> None:
-    text = svg.line_plot(series, title)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def _signal_series(label: str, sig: Signal) -> tuple:
     return (label, sig.times(), sig.samples)
 
 
-def cmd_gen(args) -> int:
+# Each data command writes its outputs and returns its quick-look plot as
+# (series, title); main draws it when --svg names a file.
+def cmd_gen(args) -> tuple:
     seed = _default_seed(args.seed) if args.kind == "white_noise" else args.seed
     sig = gen(
         args.kind,
@@ -99,23 +95,19 @@ def cmd_gen(args) -> int:
         seed=seed,
     )
     sio.write_csv(args.out, sig)
-    if args.svg:
-        _write_svg(args.svg, [_signal_series(args.kind, sig)], "gen")
-    return 0
+    return [_signal_series(args.kind, sig)], "gen"
 
 
-def cmd_op(args) -> int:
+def cmd_op(args) -> tuple:
     arity, fn = ops.OPS[args.name]
     if arity == 2 and args.b is None:
         args.parser.error(f"--name {args.name} requires --b")
     out = fn(*(sio.read_csv(path) for path in (args.a, args.b)[:arity]))
     sio.write_csv(args.out, out)
-    if args.svg:
-        _write_svg(args.svg, [_signal_series(args.name, out)], "op")
-    return 0
+    return [_signal_series(args.name, out)], "op"
 
 
-def cmd_corr(args) -> int:
+def cmd_corr(args) -> tuple:
     f = sio.read_csv(args.a)
     g = sio.read_csv(args.b)
     r = correlation.cross_correlate(f, g, args.kind, args.mode)
@@ -126,22 +118,14 @@ def cmd_corr(args) -> int:
             f"peak_lag={m.peak_lag} peak_value={m.peak_value:.12g} "
             f"half_width={m.half_width:.12g} secondary_ratio={m.secondary_ratio:.12g}"
         )
-    if args.svg:
-        _write_svg(
-            args.svg,
-            [(args.kind, r.lags.astype(float), r.values)],
-            "correlation",
-        )
-    return 0
+    return [(args.kind, r.lags.astype(float), r.values)], "correlation"
 
 
-def cmd_expr(args) -> int:
+def cmd_expr(args) -> tuple:
     env = dsl.Environment({name: sio.read_csv(path) for name, path in args.bind})
     out = dsl.evaluate(dsl.parse(args.text), env)
     sio.write_csv(args.out, out)
-    if args.svg:
-        _write_svg(args.svg, [_signal_series("expr", out)], args.text)
-    return 0
+    return [_signal_series("expr", out)], args.text
 
 
 def _build_sim_netlist(args) -> Netlist:
@@ -166,7 +150,7 @@ def _sim_inputs(args, net: Netlist) -> Dict[str, Signal]:
     return bound
 
 
-def cmd_sim(args) -> int:
+def cmd_sim(args) -> tuple:
     net = _build_sim_netlist(args)
     inputs = _sim_inputs(args, net)
     trace = simulate(net, inputs, oversample=args.oversample)
@@ -182,33 +166,21 @@ def cmd_sim(args) -> int:
             line += f" noise_rms={noise:.12g}"
         print(line)
         series.append(_signal_series("reference", ref))
-    if args.svg:
-        _write_svg(args.svg, series, f"sim {args.netlist}")
-    return 0
+    return series, f"sim {args.netlist}"
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple:
     net = _build_sim_netlist(args)
     inputs = _sim_inputs(args, net)
     rows = delay_sweep(net, inputs, args.spread, n_seeds=args.seeds, seed=args.seed)
-    lines = ["spread,mean_rms_error"]
-    lines.extend(f"{s},{rms!r}" for s, rms in rows)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    if args.svg:
-        xs = np.array([float(s) for s, _ in rows])
-        ys = np.array([rms for _, rms in rows])
-        _write_svg(args.svg, [("mean_rms_error", xs, ys)], f"sweep {args.netlist}")
-    return 0
+    sio.write_text(args.out, "".join(["spread,mean_rms_error\n", *(f"{s},{rms!r}\n" for s, rms in rows)]))
+    xs = np.array([min(s, sys.float_info.max) for s, _ in rows], dtype=float)
+    ys = np.array([rms for _, rms in rows])
+    return [("mean_rms_error", xs, ys)], f"sweep {args.netlist}"
 
 
-def cmd_version(args) -> int:
+def cmd_version(args) -> None:
     print(f"msetsig {__version__} (kernels: {BACKEND})")
-    return 0
-
-
-def _add_svg(p) -> None:
-    p.add_argument("--svg", metavar="FILE", help="also write a quick-look SVG plot")
 
 
 def build_parser() -> _Parser:
@@ -228,7 +200,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None,
                    help="noise seed; falls back to MSET_SEED, then 0")
     p.add_argument("--out", required=True)
-    _add_svg(p)
     p.set_defaults(func=cmd_gen, parser=p)
 
     p = sub.add_parser("op", help="apply one signal operation")
@@ -236,7 +207,6 @@ def build_parser() -> _Parser:
     p.add_argument("--a", required=True)
     p.add_argument("--b", default=None)
     p.add_argument("--out", required=True)
-    _add_svg(p)
     p.set_defaults(func=cmd_op, parser=p)
 
     p = sub.add_parser("corr", help="cross-correlate two signal files")
@@ -247,7 +217,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--metrics", action="store_true",
                    help="print a peak summary line to stdout")
-    _add_svg(p)
     p.set_defaults(func=cmd_corr, parser=p)
 
     p = sub.add_parser("expr", help="evaluate a signal expression")
@@ -255,7 +224,6 @@ def build_parser() -> _Parser:
     p.add_argument("--bind", type=_bind_pair, action="append", default=[],
                    metavar="NAME=FILE")
     p.add_argument("--out", required=True)
-    _add_svg(p)
     p.set_defaults(func=cmd_expr, parser=p)
 
     for name in ("sim", "sweep"):
@@ -285,20 +253,24 @@ def build_parser() -> _Parser:
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--out", required=True)
             p.set_defaults(func=cmd_sweep, parser=p)
-        _add_svg(p)
+    for p in sub.choices.values():
+        p.add_argument("--svg", metavar="FILE", help="also write a quick-look SVG plot")
 
     p = sub.add_parser("version", help="print version and kernel backend")
-    p.set_defaults(func=cmd_version, parser=p)
+    p.set_defaults(func=cmd_version, parser=p, svg=None)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        plot = args.func(args)
+        if args.svg:
+            sio.write_text(args.svg, svg.line_plot(*plot))
     except MsetError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

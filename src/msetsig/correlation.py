@@ -21,7 +21,7 @@ from typing import Tuple
 import numpy as np
 
 from . import _kernels
-from .errors import BadMode, BadParam, DegenerateDenominator, FlatResult, ShapeMismatch
+from .errors import BadMode, BadParam, DegenerateDenominator, FlatResult, ShapeMismatch, finite
 from .ops import common_product
 from .signal import Signal, check_same_shape
 
@@ -50,7 +50,7 @@ class CorrelationResult:
             raise BadParam("correlation result must be nonempty")
         if lags.size > 1 and not np.all(np.diff(lags) == 1):
             raise BadParam("lags must be contiguous and strictly increasing")
-        _finite(values, "correlation values")
+        finite(values, "correlation values")
         if self.mode not in CORR_MODES:
             raise BadParam(f"unknown mode {self.mode!r}")
         lags.setflags(write=False)
@@ -85,13 +85,6 @@ class PeakMetrics:
     secondary_ratio: float
 
 
-def _finite(value, what: str):
-    """Return value, or raise BadParam if any element of it overflowed or is NaN."""
-    if not np.all(np.isfinite(value)):
-        raise BadParam(f"{what} must be finite")
-    return value
-
-
 def common_functional(f: Signal, g: Signal) -> float:
     """Integral of the elementwise common product over the shared support.
 
@@ -99,7 +92,7 @@ def common_functional(f: Signal, g: Signal) -> float:
         BadParam: the integral overflows.
     """
     cp = common_product(f, g)
-    return _finite(float(np.sum(cp.samples) * f.dt), "common functional")
+    return finite(float(np.sum(cp.samples) * f.dt), "common functional")
 
 
 def classic_functional(f: Signal, g: Signal) -> float:
@@ -109,7 +102,7 @@ def classic_functional(f: Signal, g: Signal) -> float:
         BadParam: the integral overflows.
     """
     check_same_shape(f, g)
-    return _finite(float(np.sum(f.samples * g.samples) * f.dt), "classic functional")
+    return finite(float(np.sum(f.samples * g.samples) * f.dt), "classic functional")
 
 
 def cross_correlate(f: Signal, g: Signal, kind: str = "common", mode: str = "full") -> CorrelationResult:
@@ -136,7 +129,8 @@ def cross_correlate(f: Signal, g: Signal, kind: str = "common", mode: str = "ful
         lag_lo, lag_hi = 0, len(f) - len(g)
     else:
         raise BadMode(f"unknown mode {mode!r}")
-    values = _kernels.xcorr(f.samples, g.samples, lag_lo, lag_hi, kind == "common") * f.dt
+    with np.errstate(all="ignore"):  # an overflowed value fails the result's finite check
+        values = _kernels.xcorr(f.samples, g.samples, lag_lo, lag_hi, kind == "common") * f.dt
     return CorrelationResult(f.dt, np.arange(lag_lo, lag_hi + 1), values, mode)
 
 
@@ -152,7 +146,7 @@ def jaccard_index(f: Signal, g: Signal) -> float:
     """
     num = common_functional(f, g)
     den = np.sum(np.maximum(np.abs(f.samples), np.abs(g.samples))) * f.dt
-    den = _finite(float(den), "integral of max(|f|, |g|)")
+    den = finite(float(den), "integral of max(|f|, |g|)")
     if den == 0.0:
         raise DegenerateDenominator("both signals are identically zero")
     return num / den
@@ -195,7 +189,7 @@ def peak_metrics(r: CorrelationResult) -> PeakMetrics:
     if not np.any(outside):
         secondary = 0.0
     else:
-        secondary = _finite(float(np.max(np.abs(values[outside]))) / peak_value, "secondary ratio")
+        secondary = finite(float(np.max(np.abs(values[outside]))) / peak_value, "secondary ratio")
     return PeakMetrics(
         peak_lag=int(r.lags[peak_idx]),
         peak_value=peak_value,

@@ -28,7 +28,6 @@ interpreter stack.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Mapping, Union
@@ -36,7 +35,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from . import ops
-from .errors import BadParam, DepthExceeded, ExprSyntaxError, UnboundVariable
+from .errors import BadParam, DepthExceeded, ExprSyntaxError, UnboundVariable, finite
 from .signal import Signal, check_same_shape
 
 MAX_DEPTH = 256
@@ -87,9 +86,7 @@ class Const:
     value: float
 
     def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
-        if not math.isfinite(self.value):
-            raise BadParam("constant must be finite")
+        object.__setattr__(self, "value", finite(float(self.value), "constant"))
 
 
 @dataclass(frozen=True)
@@ -137,12 +134,6 @@ class Environment:
         if items:
             check_same_shape(*items.values())
         self._bindings = items
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._bindings
-
-    def __len__(self) -> int:
-        return len(self._bindings)
 
     def lookup(self, name: str) -> Signal:
         try:
@@ -310,7 +301,8 @@ def evaluate(ast: Expr, env: Environment) -> Signal:
             return proto.with_samples(np.full(len(proto), node.value))
         return OPERATORS[op][2](*args)
 
-    return _fold(ast, visit)
+    with np.errstate(all="ignore"):  # an overflowed value fails the Signal's finite check
+        return _fold(ast, visit)
 
 
 def pretty_print(ast: Expr) -> str:

@@ -4,6 +4,8 @@ Every data-level failure raises a subclass of MsetError; the CLI maps these to
 exit code 2 and prints the class name, so the names are part of the contract.
 """
 
+import numpy as np
+
 
 class MsetError(Exception):
     """Base class for all errors raised by this package."""
@@ -37,6 +39,16 @@ def whole(value, what: str, least: int | None = None) -> int:
         bound = "" if least is None else f" >= {least}"
         raise BadParam(f"{what} must be an integer{bound}, got {value!r}")
     return n
+
+
+def finite(value, what: str, least: float | None = None):
+    """``value``, if it is a finite number no less than ``least``, or an array
+    of finite numbers; anything else raises BadParam."""
+    if not np.all(np.isfinite(value)):
+        raise BadParam(f"{what} must be finite")
+    if least is not None and value < least:
+        raise BadParam(f"{what} must be >= {least}, got {value!r}")
+    return value
 
 
 class ShapeMismatch(MsetError):

@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 import os
 
-import numpy as np
-
+from .circuit.sim import SimTrace
 from .correlation import CorrelationResult
 from .errors import IoError, ParseError
 from .signal import Signal
@@ -25,19 +24,9 @@ def _fmt(x: float) -> str:
 
 def _parse_float(text: str, lineno: int, what: str = "value") -> float:
     try:
-        v = float(text)
+        return float(text)
     except ValueError:
         raise ParseError(f"bad {what} {text!r}", lineno) from None
-    return v
-
-
-def _read_lines(path) -> list[str]:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            raw = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoError(f"cannot read {os.fspath(path)!r}: {exc}") from exc
-    return raw.split("\n")
 
 
 def _parse_header(line: str, lineno: int, keys: tuple[str, ...]) -> dict[str, float]:
@@ -57,56 +46,65 @@ def _parse_header(line: str, lineno: int, keys: tuple[str, ...]) -> dict[str, fl
     return found
 
 
+def _read_rows(path, keys: tuple[str, ...], parse_row, what: str):
+    """The header values of a CSV file, and parse_row(text, line number) of
+    each of its non-blank lines after the header, stripped."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(f"cannot read {os.fspath(path)!r}: {exc}") from exc
+    if not lines[0].strip():
+        raise ParseError("empty file", 1)
+    meta = _parse_header(lines[0], 1, keys)
+    body = [parse_row(text, lineno) for lineno, line in enumerate(lines[1:], start=2) if (text := line.strip())]
+    if not body:
+        raise ParseError(f"no {what} after header", 1)
+    return meta, body
+
+
+def _parse_sample(text: str, lineno: int) -> float:
+    value = _parse_float(text, lineno)
+    if not math.isfinite(value):
+        raise ParseError("non-finite sample", lineno)
+    return value
+
+
 def read_csv(path) -> Signal:
     """Read a signal CSV. Raises ParseError (with the 1-based line number in
     the message) on malformed content and IoError on OS-level failure."""
-    lines = _read_lines(path)
-    if not lines or not lines[0].strip():
-        raise ParseError("empty file", 1)
-    meta = _parse_header(lines[0], 1, ("dt", "t0"))
-    samples = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        text = line.strip()
-        if not text:
-            continue
-        samples.append(_parse_float(text, lineno))
-    if not samples:
-        raise ParseError("no samples after header", 1)
-    if not all(math.isfinite(s) for s in samples):
-        bad = next(i for i, s in enumerate(samples) if not math.isfinite(s))
-        raise ParseError("non-finite sample", bad + 2)
-    return Signal(meta["dt"], meta["t0"], np.asarray(samples))
+    meta, samples = _read_rows(path, ("dt", "t0"), _parse_sample, "samples")
+    return Signal(meta["dt"], meta["t0"], samples)
+
+
+def _parse_correlation_row(text: str, lineno: int) -> tuple[int, float]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ParseError(f"expected 'lag,value', got {text!r}", lineno)
+    lag = _parse_float(parts[0], lineno, "lag")
+    if not (abs(lag) < 2.0**63 and lag.is_integer()):
+        raise ParseError(f"bad lag {parts[0]!r}", lineno)
+    return int(lag), _parse_float(parts[1], lineno)
 
 
 def read_correlation_csv(path) -> CorrelationResult:
     """Read a correlation CSV back into a CorrelationResult (mode is not
     stored in the file and defaults to full)."""
-    lines = _read_lines(path)
-    if not lines or not lines[0].strip():
-        raise ParseError("empty file", 1)
-    meta = _parse_header(lines[0], 1, ("dt",))
-    lags, values = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        text = line.strip()
-        if not text:
-            continue
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"expected 'lag,value', got {text!r}", lineno)
-        lag = _parse_float(parts[0], lineno, "lag")
-        if not (abs(lag) < 2.0**63 and lag.is_integer()):
-            raise ParseError(f"bad lag {parts[0]!r}", lineno)
-        lags.append(int(lag))
-        values.append(_parse_float(parts[1], lineno))
-    if not lags:
-        raise ParseError("no rows after header", 1)
-    return CorrelationResult(meta["dt"], np.asarray(lags), np.asarray(values))
+    meta, rows = _read_rows(path, ("dt",), _parse_correlation_row, "rows")
+    return CorrelationResult(meta["dt"], *zip(*rows))  # the lags, then the values
+
+
+def write_text(path, text: str) -> None:
+    """Write text to path as UTF-8 with \\n line ends; raises IoError if the OS refuses."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IoError(f"cannot write {os.fspath(path)!r}: {exc}") from exc
 
 
 def write_csv(path, obj) -> None:
     """Write a Signal, SignSeries, CorrelationResult, or SimTrace as CSV."""
-    from .circuit.sim import SimTrace
-
     if isinstance(obj, Signal):
         body = [f"# dt={_fmt(obj.dt)} t0={_fmt(obj.t0)}"]
         body.extend(_fmt(v) for v in obj.samples)
@@ -114,16 +112,8 @@ def write_csv(path, obj) -> None:
         body = [f"# dt={_fmt(obj.dt)}"]
         body.extend(f"{lag},{_fmt(v)}" for lag, v in zip(obj.lags, obj.values))
     elif isinstance(obj, SimTrace):
-        names = list(obj.nodes)
-        body = [",".join(names)]
-        cols = [obj.nodes[name] for name in names]
-        for row in zip(*cols):
-            body.append(",".join(_fmt(v) for v in row))
+        body = [",".join(obj.nodes)]
+        body.extend(",".join(_fmt(v) for v in row) for row in zip(*obj.nodes.values()))
     else:
         raise IoError(f"cannot serialize {type(obj).__name__}")
-    text = "\n".join(body) + "\n"
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoError(f"cannot write {os.fspath(path)!r}: {exc}") from exc
+    write_text(path, "\n".join(body) + "\n")

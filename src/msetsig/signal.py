@@ -16,9 +16,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BadParam, NonFiniteSample, NonPositiveDt, ShapeMismatch, whole
+from .errors import BadParam, NonFiniteSample, NonPositiveDt, ShapeMismatch, finite, whole
 
-GEN_KINDS = ("sine", "cosine", "square", "gaussian_pulse", "triangle_pulse", "white_noise")
+
+def _sample_interval(dt) -> float:
+    value = float(dt)
+    if not (value > 0.0 and np.isfinite(value)):
+        raise NonPositiveDt(f"dt must be positive and finite, got {dt!r}")
+    return value
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -36,11 +41,7 @@ class Signal:
     samples: np.ndarray
 
     def __post_init__(self):
-        dt, t0 = float(self.dt), float(self.t0)
-        if not (dt > 0.0 and np.isfinite(dt)):
-            raise NonPositiveDt(f"dt must be positive and finite, got {self.dt!r}")
-        if not np.isfinite(t0):
-            raise BadParam(f"t0 must be finite, got {self.t0!r}")
+        dt, t0 = _sample_interval(self.dt), finite(float(self.t0), "t0")
         arr = np.array(self.samples, dtype=np.float64, copy=True)
         if arr.ndim != 1:
             raise BadParam(f"samples must be one-dimensional, got shape {arr.shape}")
@@ -64,8 +65,9 @@ class Signal:
         return f"{type(self).__name__}(dt={self.dt}, t0={self.t0}, n={len(self)})"
 
     def times(self) -> np.ndarray:
-        """Time axis: t0 + k*dt for each sample index k."""
-        return self.t0 + self.dt * np.arange(len(self))
+        """Time axis: t0 + k*dt for each sample index k (inf past the float range)."""
+        with np.errstate(over="ignore"):
+            return self.t0 + self.dt * np.arange(len(self))
 
     def with_samples(self, samples) -> "Signal":
         """A new Signal with the same timing metadata and different samples."""
@@ -101,6 +103,38 @@ def check_same_shape(*items: Signal, error=ShapeMismatch) -> None:
             raise error(f"t0 mismatch: {first.t0} vs {other.t0}")
 
 
+def _phase(t, frequency, phase, **_):
+    return (2.0 * np.pi * frequency * t + phase,)
+
+
+def _pulse(t, dt, t0, center, width, **_):
+    span = t.size * dt
+    c = t0 + span / 2.0 if center is None else center
+    w = span / 8.0 if width is None else width
+    if w <= 0:
+        raise BadParam(f"width must be > 0, got {w}")
+    return t - c, w
+
+
+def _noise(t, seed, **_):
+    if seed is None:
+        raise BadParam("white_noise requires an explicit seed")
+    return (np.random.default_rng(whole(seed, "seed", 0)).standard_normal(t.size),)
+
+
+# kind -> (inputs, shape): inputs(t, **gen's arguments) gives the arrays from
+# which shape(*arrays) makes the unit-amplitude waveform on the time grid t
+_WAVEFORMS = {
+    "sine": (_phase, np.sin),
+    "cosine": (_phase, np.cos),
+    "square": (_phase, lambda arg: np.where(np.sin(arg) >= 0.0, 1.0, -1.0)),
+    "gaussian_pulse": (_pulse, lambda x, w: np.exp(-(x**2) / (2.0 * w * w))),
+    "triangle_pulse": (_pulse, lambda x, w: np.maximum(0.0, 1.0 - np.abs(x) / w)),
+    "white_noise": (_noise, lambda z: z),
+}
+GEN_KINDS = tuple(_WAVEFORMS)
+
+
 def gen(
     kind: str,
     dt: float,
@@ -129,47 +163,32 @@ def gen(
     samples; there is no global RNG state.
 
     Raises:
-        BadParam: negative amplitude or frequency, non-positive width, a bad
-            n or seed, unknown kind, or white_noise without a seed.
+        NonPositiveDt: dt is not positive and finite.
+        BadParam: a float argument or a sample is not finite, negative
+            amplitude or frequency, non-positive width, a bad n or seed,
+            unknown kind, or white_noise without a seed.
     """
-    if kind not in GEN_KINDS:
+    if kind not in _WAVEFORMS:
         raise BadParam(f"unknown generator kind {kind!r}; expected one of {', '.join(GEN_KINDS)}")
     n = whole(n, "n", 1)
-    if amplitude < 0:
-        raise BadParam(f"amplitude must be >= 0, got {amplitude}")
-    if frequency < 0:
-        raise BadParam(f"frequency must be >= 0, got {frequency}")
+    dt = _sample_interval(dt)
+    finite(amplitude, "amplitude", 0)
+    finite(frequency, "frequency", 0)
+    for name, value in dict(phase=phase, t0=t0, center=center, width=width).items():
+        if value is not None:
+            finite(value, name)
 
-    try:
-        t = t0 + dt * np.arange(n)
-    except (ValueError, MemoryError):  # numpy cannot size or allocate n elements
-        t = None
-    if t is None or t.size != n:  # near 2**63, arange sizes n elements as none
-        raise BadParam(f"n={n} is too many samples")
-    if kind in ("sine", "cosine", "square"):
-        arg = 2.0 * np.pi * frequency * t + phase
-        if kind == "sine":
-            samples = amplitude * np.sin(arg)
-        elif kind == "cosine":
-            samples = amplitude * np.cos(arg)
-        else:
-            samples = np.where(np.sin(arg) >= 0.0, amplitude, -amplitude)
-    elif kind in ("gaussian_pulse", "triangle_pulse"):
-        span = n * dt
-        c = t0 + span / 2.0 if center is None else center
-        w = span / 8.0 if width is None else width
-        if w <= 0:
-            raise BadParam(f"width must be > 0, got {w}")
-        if kind == "gaussian_pulse":
-            samples = amplitude * np.exp(-((t - c) ** 2) / (2.0 * w * w))
-        else:
-            samples = amplitude * np.maximum(0.0, 1.0 - np.abs(t - c) / w)
-    else:  # white_noise
-        if seed is None:
-            raise BadParam("white_noise requires an explicit seed")
-        rng = np.random.default_rng(whole(seed, "seed", 0))
-        samples = amplitude * rng.standard_normal(n)
-    return Signal(dt, t0, samples)
+    inputs, shape = _WAVEFORMS[kind]
+    with np.errstate(all="ignore"):
+        try:
+            t = t0 + dt * np.arange(n)
+        except (ValueError, MemoryError):  # numpy cannot size or allocate n elements
+            t = None
+        if t is None or t.size != n:  # near 2**63, arange sizes n elements as none
+            raise BadParam(f"n={n} is too many samples")
+        args = dict(dt=dt, t0=t0, frequency=frequency, phase=phase, center=center, width=width, seed=seed)
+        samples = amplitude * shape(*inputs(t, **args))
+    return Signal(dt, t0, finite(samples, f"{kind} samples"))
 
 
 def shift(f: Signal, k: int) -> Signal:

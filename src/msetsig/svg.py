@@ -11,7 +11,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import BadParam
+from .errors import BadParam, finite
 
 _WIDTH, _HEIGHT = 800, 400
 _LEFT, _RIGHT, _TOP, _BOTTOM = 60.0, 780.0, 20.0, 360.0
@@ -23,8 +23,7 @@ def _span(lo: float, hi: float) -> Tuple[float, float]:
     if hi <= lo:
         pad = max(1.0, abs(lo) * 1e-15)
         lo, hi = lo - pad, lo + pad
-    if not np.isfinite(hi - lo):
-        raise BadParam(f"cannot plot data from {lo!r} to {hi!r}: the range overflows")
+    finite(hi - lo, "the range of the plotted data")
     return lo, hi
 
 

@@ -63,6 +63,7 @@ expr_texts = st.one_of(st.text(max_size=30), st.lists(st.sampled_from(TOKENS), m
 @given(expr_texts)
 @example("+".join(["f"] * 5000))
 @example("f" + "~" * 5000)
+@example("1e300 * 1e300")
 def test_expr_text_contract(workdir, text):
     check_contract(*run(["expr", f"--text={text}", "--bind", f"f={workdir / 'f.csv'}",
                          "--bind", f"g={workdir / 'g.csv'}", "--out", str(workdir / "e.csv")]))
@@ -115,6 +116,7 @@ def test_op_svg_of_an_overflowing_range_is_a_data_error(workdir):
        mode=st.sampled_from(["full", "valid"]))
 @example(a=b"# dt=1 t0=0\n1e308\n1e308\n", b=b"# dt=1 t0=0\n1e308\n", kind="classic", mode="full")
 @example(a=b"# dt=1 t0=0\n-1\n-2\n", b=b"# dt=1 t0=0\n1\n", kind="common", mode="full")
+@example(a=b"# dt=4 t0=0\n1e308\n", b=b"# dt=4 t0=0\n1\n", kind="classic", mode="full")
 def test_corr_file_contract(workdir, a, b, kind, mode):
     (workdir / "a.csv").write_bytes(a)
     (workdir / "b.csv").write_bytes(b)
@@ -164,6 +166,8 @@ sim_flags = st.fixed_dictionaries({}, optional={
 @given(netlist=st.sampled_from(NETLIST_KINDS), flags=sim_flags, compare=st.booleans(),
        oversample=st.one_of(st.none(), small_ints))
 @example(netlist="absolute", flags={"--glitch-amp": "nan"}, compare=True, oversample=None)
+@example(netlist="common_product", flags={"--glitch-amp": "8.98846567431158e+307", "--glitch-w": "8"}, compare=True,
+         oversample=None)
 def test_sim_numeric_flags_contract(workdir, netlist, flags, compare, oversample):
     argv = ["sim", "--netlist", netlist, "--a", str(workdir / "f.csv"), "--b", str(workdir / "g.csv"),
             "--trace", str(workdir / "trace.csv")]
@@ -217,8 +221,27 @@ def test_bad_number_is_bad_param(workdir, argv, env_seed):
 
 def test_huge_spread_sweeps(workdir):
     out = workdir / "huge.csv"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, err = run(["sweep", "--netlist", "sign", "--a", str(workdir / "f.csv"), "--spread", str(10**20),
-                         "--seeds", "1", "--out", str(out)])
-    assert (code, err) == (0, "") and str(10**20) in out.read_text()
+    # spreads and delays past int64, and past the float range
+    for spread, delay in [(10**20, 0), (10**400, 0), (1, 10**400)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = run(["sweep", "--netlist", "sign", "--a", str(workdir / "f.csv"), "--spread", str(spread),
+                             "--delay", str(delay), "--seeds", "1", "--out", str(out)])
+        assert (code, err) == (0, "") and f"\n{spread}," in out.read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "sine", "--dt", "0.5", "--n", "4", "--out", "{ok}", "--svg", "{bad}"],
+    ["op", "--name", "union", "--a", "{f}", "--b", "{g}", "--out", "{ok}", "--svg", "{bad}"],
+    ["corr", "--kind", "common", "--a", "{f}", "--b", "{g}", "--out", "{ok}", "--svg", "{bad}"],
+    ["expr", "--text", "f + g", "--bind", "f={f}", "--bind", "g={g}", "--out", "{ok}", "--svg", "{bad}"],
+    ["sim", "--netlist", "union", "--a", "{f}", "--b", "{g}", "--svg", "{bad}"],
+    ["sweep", "--netlist", "union", "--a", "{f}", "--b", "{g}", "--spread", "0..1", "--out", "{ok}",
+     "--svg", "{bad}"],
+    ["sweep", "--netlist", "union", "--a", "{f}", "--b", "{g}", "--spread", "0..1", "--out", "{bad}"],
+], ids=["gen_svg", "op_svg", "corr_svg", "expr_svg", "sim_svg", "sweep_svg", "sweep_out"])
+def test_unwritable_output_is_io_error(workdir, argv):
+    paths = {"f": workdir / "f.csv", "g": workdir / "g.csv", "ok": workdir / "written.csv",
+             "bad": workdir / "no_such_dir" / "out"}
+    code, err = run([a.format(**paths) for a in argv])
+    assert code == 2 and err.startswith("IoError:") and "Traceback" not in err, err

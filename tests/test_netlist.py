@@ -36,6 +36,9 @@ class TestComponentParams:
             {"logic_high": -1.0, "logic_low": 1.0},
             {"logic_high": 0.0, "logic_low": 0.0},
             {"glitch_amplitude": float("nan")},
+            {"glitch_amplitude": float("inf")},
+            {"logic_high": float("inf")},
+            {"logic_low": float("nan")},
         ],
     )
     def test_rejects(self, kw):

@@ -1,15 +1,18 @@
 """Properties of the DSL round trip and depth bound, the signal grid, and the
 finiteness and peak contracts of the correlation layer, finite SVG
-coordinates, the whole-number parameters, and the sign series as a signal."""
+coordinates, the whole-number and float parameters, and the sign series as a
+signal."""
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from msetsig import (
+    GEN_KINDS,
     CorrelationResult,
     Environment,
     Signal,
@@ -199,6 +202,30 @@ def test_whole_number_parameters_succeed_or_raise_bad_param(name, value):
         return
     if isinstance(value, float):
         assert got == call(int(value))
+
+
+gen_floats = st.one_of(st.floats(-10.0, 10.0),
+                       st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308, 1e-320]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(GEN_KINDS), n=st.integers(1, 12),
+       dt=st.one_of(st.floats(1e-3, 1.0), st.sampled_from([0.0, -0.5, math.inf, math.nan, 1e308, 1e-320])),
+       floats=st.fixed_dictionaries({}, optional={name: gen_floats for name in
+                                                  ("amplitude", "frequency", "phase", "t0", "center", "width")}))
+def test_gen_floats_give_finite_samples_or_raise(kind, n, dt, floats):
+    good_dt = dt > 0 and math.isfinite(dt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            s = gen(kind, dt, n, seed=3, **floats)
+        except errors.NonPositiveDt:
+            assert not good_dt
+            return
+        except errors.BadParam:
+            assert good_dt
+            return
+    assert good_dt and np.all(np.isfinite(s.samples))
 
 
 def test_sign_series_is_a_signal():
