@@ -2,9 +2,9 @@
 
 The compiled C module (_core.c, built by setup.py) is used when present;
 otherwise the numpy fallback is. BACKEND names the one selected: "compiled"
-or "python". Both backends take the same arguments; low-pass results are
-identical, and common correlation sums agree up to summation-order
-rounding. Classic correlation is np.correlate on every backend.
+or "python". Both backends take the same arguments; low-pass and delayed_op
+results are identical, and common correlation sums agree up to
+summation-order rounding. Classic correlation is np.correlate on every backend.
 """
 
 from . import _fallback
@@ -19,6 +19,7 @@ except ImportError:
 
 xcorr_common = _impl.xcorr_common
 lowpass = _impl.lowpass
+delayed_op = _impl.delayed_op
 
 
 def xcorr(f, g, lag_lo: int, lag_hi: int, common: bool):

@@ -1,12 +1,12 @@
-/* Compiled inner loops: common-product lag correlation and the single-pole
- * IIR filter. Classic (plain-product) correlation is not here: np.correlate
- * is faster than a sequential-order loop, so every backend uses it.
- *
- * Hand-written against the CPython buffer protocol; the only numpy use is
- * numpy.empty for the result arrays. Inputs must be 1-D C-contiguous
- * float64 buffers; anything else raises TypeError or ValueError instead of
- * being read as raw memory. The loops run without the GIL and keep no
- * state between calls.
+/* Compiled inner loops: common-product lag correlation, the single-pole IIR
+ * filter and the simulator's elementwise behaviours on delayed inputs. Classic
+ * correlation is np.correlate on every backend: it is faster than a loop in
+ * sequential order. Hand-written against the CPython buffer protocol; the
+ * only numpy use is numpy.empty for the result arrays. Inputs must be
+ * C-contiguous native float64 (delays: int64) buffers of the documented
+ * dimensions; anything else raises TypeError or ValueError instead of being
+ * read as raw memory. The loops run without the GIL and keep no state
+ * between calls.
  *
  * Build with -ffp-contract=off and without -ffast-math: every sum below is
  * meant to round exactly as the sequential order written here, which a
@@ -75,24 +75,26 @@ static void xcorr_common_loop(const double *f, Py_ssize_t nf, const double *gr, 
     }
 }
 
-/* Borrow obj as a 1-D C-contiguous float64 buffer; 0 on success. */
-static int get_doubles(PyObject *obj, Py_buffer *view, int flags, const char *name)
+/* Borrow obj as an ndim-D C-contiguous native float64 (if ints, int64) buffer; 0 on success. */
+static int get_array(PyObject *obj, Py_buffer *view, int flags, int ndim, int ints, const char *name)
 {
     if (PyObject_GetBuffer(obj, view, flags | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
         return -1;
-    if (view->ndim != 1 || view->itemsize != sizeof(double) || strcmp(view->format, "d") != 0) {
+    const char *f = view->format;
+    if (view->ndim != ndim || view->itemsize != 8 || (ints ? strcmp(f, "l") && strcmp(f, "q") : strcmp(f, "d"))) {
         PyBuffer_Release(view);
-        PyErr_Format(PyExc_TypeError, "%s must be a 1-D native float64 array", name);
+        PyErr_Format(PyExc_TypeError, "%s must be a %d-D native %s array", name, ndim, ints ? "int64" : "float64");
         return -1;
     }
     return 0;
 }
 
-/* A new float64 ndarray of n elements, exposed writable through out. */
-static PyObject *new_doubles(Py_ssize_t n, Py_buffer *out)
+/* A new float64 ndarray of shape (n,) or (rows, n), exposed writable through out. */
+static PyObject *new_doubles(int ndim, Py_ssize_t rows, Py_ssize_t n, Py_buffer *out)
 {
-    PyObject *arr = PyObject_CallFunction(np_empty, "n", n);
-    if (arr != NULL && get_doubles(arr, out, PyBUF_WRITABLE, "result") < 0)
+    PyObject *arr = ndim == 1 ? PyObject_CallFunction(np_empty, "n", n)
+                              : PyObject_CallFunction(np_empty, "((nn))", rows, n);
+    if (arr != NULL && get_array(arr, out, PyBUF_WRITABLE, ndim, 0, "result") < 0)
         Py_CLEAR(arr);
     return arr;
 }
@@ -118,15 +120,15 @@ static PyObject *xcorr_common(PyObject *Py_UNUSED(module), PyObject *args)
         PyErr_SetString(PyExc_ValueError, "lag range out of bounds");
         return NULL;
     }
-    if (get_doubles(fo, &fv, PyBUF_SIMPLE, "f") < 0)
+    if (get_array(fo, &fv, PyBUF_SIMPLE, 1, 0, "f") < 0)
         return NULL;
-    if (get_doubles(go, &gv, PyBUF_SIMPLE, "g") < 0) {
+    if (get_array(go, &gv, PyBUF_SIMPLE, 1, 0, "g") < 0) {
         PyBuffer_Release(&fv);
         return NULL;
     }
     Py_ssize_t nf = fv.shape[0], ng = gv.shape[0], nlag = lag_hi - lag_lo + 1;
     double *gr = PyMem_Calloc((size_t)ng + 2 * (BLOCK - 1), sizeof(double));
-    res = gr == NULL ? PyErr_NoMemory() : new_doubles(nlag, &ov);
+    res = gr == NULL ? PyErr_NoMemory() : new_doubles(1, 1, nlag, &ov);
     if (res != NULL) {
         const double *g = gv.buf;
         for (Py_ssize_t m = 0; m < ng; m++)
@@ -153,10 +155,10 @@ static PyObject *lowpass(PyObject *Py_UNUSED(module), PyObject *args)
     Py_buffer xv, ov;
     if (!PyArg_ParseTuple(args, "Od:lowpass", &xo, &alpha))
         return NULL;
-    if (get_doubles(xo, &xv, PyBUF_SIMPLE, "x") < 0)
+    if (get_array(xo, &xv, PyBUF_SIMPLE, 1, 0, "x") < 0)
         return NULL;
     Py_ssize_t n = xv.shape[0];
-    res = new_doubles(n, &ov);
+    res = new_doubles(1, 1, n, &ov);
     if (res != NULL) {
         const double *x = xv.buf;
         double *out = ov.buf, y = 0.0;
@@ -172,16 +174,108 @@ static PyObject *lowpass(PyObject *Py_UNUSED(module), PyObject *args)
     return res;
 }
 
+/* The simulator's elementwise ops by code; an unknown name's arity -1 matches no input count. */
+enum { OP_DELAY, OP_INVERT, OP_COMPARATOR, OP_EQUIVALENCE, OP_SWITCH, OP_SUMMER, N_OPS };
+static const char *const op_names[N_OPS] = {"delay", "inverting_amp", "comparator",
+                                            "equivalence_gate", "analog_switch", "summer"};
+static const Py_ssize_t op_arity[N_OPS + 1] = {1, 1, 2, 2, 3, 2, -1};
+
+static inline double apply(int op, double p, double q, double x, double y, double z)
+{
+    switch (op) {
+    case OP_DELAY: return x;
+    case OP_INVERT: return -x;
+    case OP_COMPARATOR: return x >= y ? p : q;
+    case OP_EQUIVALENCE: return (x >= 0.0) == (y >= 0.0) ? p : q;
+    case OP_SWITCH: return z >= 0.5 * (p + q) ? x : y;
+    default: return p * x + q * y;
+    }
+}
+
+PyDoc_STRVAR(delayed_op_doc,
+"delayed_op($module, op, ins, steps, p, q, /)\n--\n\n"
+"Row r at sample t is op on its inputs at t - steps[r], which read 0.0 before the start:\n"
+"delay x, inverting_amp -x, comparator x >= y ? p : q, equivalence_gate (x >= 0) == (y >= 0)\n"
+"? p : q, analog_switch z >= (p + q) / 2 ? x : y, summer p*x + q*y. Each input is (rows, n)\n"
+"float64 of 1 or len(steps) rows and steps is nonnegative int64. The result has len(steps)\n"
+"rows, or one if every input has one row and every step is equal.");
+
+/* The samples from t = d on; with a constant op, apply compiles to one loop per behaviour. */
+#define ROW_CASE(k) case k: for (; t < n; t++) o[t] = apply(k, p, q, in[0][t - d], in[1][t - d], in[2][t - d]); break;
+
+static PyObject *delayed_op(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    const char *name;
+    PyObject *ino, *so, *seq, *res = NULL;
+    double p, q, lead;
+    Py_buffer v[4], ov; /* the steps, then the inputs */
+    Py_ssize_t held = 0, rows, r, i, n, t;
+    const int64_t *steps;
+    int op = 0, shared = 1, bad = 0;
+    if (!PyArg_ParseTuple(args, "sOOdd:delayed_op", &name, &ino, &so, &p, &q))
+        return NULL;
+    if ((seq = PySequence_Fast(ino, "ins must be a sequence of arrays")) == NULL)
+        return NULL;
+    while (op < N_OPS && strcmp(name, op_names[op]) != 0)
+        op++;
+    if (PySequence_Fast_GET_SIZE(seq) != op_arity[op]) {
+        PyErr_Format(PyExc_ValueError, "%s is not an op of %zd inputs", name, PySequence_Fast_GET_SIZE(seq));
+        goto done;
+    }
+    for (; held <= op_arity[op]; held++) {
+        PyObject *obj = held == 0 ? so : PySequence_Fast_GET_ITEM(seq, held - 1);
+        if (get_array(obj, &v[held], PyBUF_SIMPLE, held == 0 ? 1 : 2, held == 0, held ? "each input" : "steps") < 0)
+            goto done;
+    }
+    for (steps = v[0].buf, rows = v[0].shape[0], r = 0; r < rows && steps[r] >= 0; r++)
+        shared &= steps[r] == steps[0];
+    for (i = 1; i <= op_arity[op]; i++) {
+        bad |= (v[i].shape[0] != 1 && v[i].shape[0] != rows) || v[i].shape[1] != v[1].shape[1];
+        shared &= v[i].shape[0] == 1;
+    }
+    if (rows == 0 || r < rows || bad) {
+        PyErr_SetString(PyExc_ValueError, "need nonempty steps >= 0, inputs of one length and 1 or len(steps) rows");
+        goto done;
+    }
+    n = v[1].shape[1];
+    rows = shared ? 1 : rows;
+    lead = apply(op, p, q, 0.0, 0.0, 0.0); /* every sample before the delay */
+    if ((res = new_doubles(2, rows, n, &ov)) != NULL) {
+        Py_BEGIN_ALLOW_THREADS
+        for (r = 0; r < rows; r++) {
+            const double *in[3];
+            for (i = 0; i < 3; i++) { /* an op's unused inputs read its first */
+                const Py_buffer *b = &v[i < op_arity[op] ? i + 1 : 1];
+                in[i] = (const double *)b->buf + (b->shape[0] == 1 ? 0 : r * n);
+            }
+            double *restrict o = (double *)ov.buf + r * n;
+            const Py_ssize_t d = steps[r] < n ? (Py_ssize_t)steps[r] : n;
+            for (t = 0; t < d; t++)
+                o[t] = lead;
+            switch (op) { ROW_CASE(OP_DELAY) ROW_CASE(OP_INVERT) ROW_CASE(OP_COMPARATOR)
+                          ROW_CASE(OP_EQUIVALENCE) ROW_CASE(OP_SWITCH) ROW_CASE(OP_SUMMER) }
+        }
+        Py_END_ALLOW_THREADS
+        PyBuffer_Release(&ov);
+    }
+done:
+    while (held > 0)
+        PyBuffer_Release(&v[--held]);
+    Py_DECREF(seq);
+    return res;
+}
+
 static PyMethodDef core_methods[] = {
     {"xcorr_common", xcorr_common, METH_VARARGS, xcorr_common_doc},
     {"lowpass", lowpass, METH_VARARGS, lowpass_doc},
+    {"delayed_op", delayed_op, METH_VARARGS, delayed_op_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef core_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_core",
-    .m_doc = "Compiled inner loops: common-product lag correlation and the single-pole IIR filter.",
+    .m_doc = "Compiled inner loops: common-product correlation, low-pass and delayed simulator ops.",
     .m_size = -1,
     .m_methods = core_methods,
 };

@@ -1,9 +1,9 @@
 """Numpy fallback for the compiled kernels, and the classic correlation that
 every backend uses.
 
-``xcorr_common`` and ``lowpass`` take the same arguments as their compiled
-twins; low-pass results are identical, and common sums agree up to
-summation-order rounding (np.sum chooses its own order).
+``xcorr_common``, ``lowpass`` and ``delayed_op`` take their compiled twins'
+arguments; low-pass and delayed-op results are identical, and common sums
+agree up to summation-order rounding (np.sum chooses its own order).
 """
 
 import numpy as np
@@ -62,3 +62,35 @@ def lowpass(x: np.ndarray, alpha: float) -> np.ndarray:
         y += alpha * (v - y)
         out[i] = y
     return out
+
+
+def _delayed(x: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Row r of x read steps[r] samples back, zero before the start."""
+    n = x.shape[1]
+    if (steps == steps[0]).all():  # one slice moves every row; a shared row stays shared
+        d = min(int(steps[0]), n)
+        if d == 0:
+            return x
+        out = np.zeros_like(x)
+        out[:, d:] = x[:, : n - d]
+        return out
+    out = np.zeros((steps.size, n))
+    for r, d in enumerate(np.minimum(steps, n).tolist()):
+        out[r, d:] = x[r % x.shape[0], : n - d]
+    return out
+
+
+# op -> fn(p, q, *inputs) on the delayed input rows
+_OPS = {
+    "delay": lambda p, q, x: x,
+    "inverting_amp": lambda p, q, x: -x,
+    "comparator": lambda p, q, x, y: np.where(x >= y, p, q),
+    "equivalence_gate": lambda p, q, x, y: np.where((x >= 0.0) == (y >= 0.0), p, q),
+    "analog_switch": lambda p, q, x, y, z: np.where(z >= 0.5 * (p + q), x, y),
+    "summer": lambda p, q, x, y: p * x + q * y,
+}
+
+
+def delayed_op(op: str, ins, steps: np.ndarray, p: float, q: float) -> np.ndarray:
+    """A simulator behaviour on delayed inputs, for a batch of rows; see the compiled twin."""
+    return np.asarray(_OPS[op](p, q, *(_delayed(x, steps) for x in ins)), dtype=np.float64)

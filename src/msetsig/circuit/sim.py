@@ -4,8 +4,9 @@ Because the netlist is feed-forward and already topologically ordered, one
 pass over the component list per run is enough; each component's full
 output waveform is computed from waveforms that are already known. A
 component with delay d reads its inputs d samples back in time, and input
-history before the start is zero, so the first max-total-delay samples of a
-run are a cold-start transient.
+history before the start is zero (a comparator then gives its high level, an
+inverting amp -0.0), so the first max-total-delay samples of a run are a
+cold-start transient.
 
 Analog switches are the only noise source: at every control transition the
 output picks up an additive glitch of alternating sign (rising edges start
@@ -27,7 +28,7 @@ import numpy as np
 
 from .. import _kernels
 from ..errors import BadParam, MetadataMismatch, UnboundInput, finite, whole
-from ..signal import Signal, check_same_shape
+from ..signal import Signal, _sample_interval, check_same_shape
 from .netlist import GROUND, Component, Netlist
 
 
@@ -44,6 +45,8 @@ class SimTrace:
     output: str
 
     def __post_init__(self):
+        object.__setattr__(self, "dt", _sample_interval(self.dt))
+        object.__setattr__(self, "t0", finite(float(self.t0), "t0"))
         if not self.nodes:
             raise BadParam("trace has no nodes")
         lengths = {len(v) for v in self.nodes.values()}
@@ -67,30 +70,14 @@ class SimTrace:
         return Signal(self.dt, self.t0, self.nodes[name])
 
 
-def _delayed(x: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """Row r of x read steps[r] samples back, zero before the start."""
-    n = x.shape[1]
-    if (steps == steps[0]).all():  # one slice moves every row; a shared row stays shared
-        if steps[0] == 0:
-            return x
-        out = np.zeros_like(x)
-        out[:, steps[0] :] = x[:, : n - steps[0]]
-        return out
-    out = np.zeros((steps.size, n))
-    for r, d in enumerate(steps.tolist()):
-        out[r, d:] = x[r % x.shape[0], : n - d]
-    return out
-
-
-def _switch(comp: Component, ins, dt_sim: float, oversample: int, amps: np.ndarray) -> np.ndarray:
+def _glitches(comp: Component, out: np.ndarray, ins, steps: np.ndarray, dt_sim: float, oversample: int, amps):
     p = comp.params
-    sel = ins[2] >= 0.5 * (p.logic_high + p.logic_low)
-    out = np.where(sel, ins[0], ins[1])
     width = p.glitch_width_samples * oversample
     if np.any(amps != amps[0]):  # the rows' glitches differ
         out = np.repeat(out, amps.size // out.shape[0], axis=0)
     for r in np.nonzero(amps[: out.shape[0]] > 0.0)[0]:
-        row, s = out[r], sel[r % sel.shape[0]]
+        ctrl = _kernels.delayed_op("delay", [ins[2][r % len(ins[2])][None]], steps[r : r + 1], 0.0, 0.0)
+        row, s = out[r], ctrl[0] >= 0.5 * (p.logic_high + p.logic_low)
         edges = np.nonzero(s[1:] != s[:-1])[0] + 1
         start = np.where(s[edges], amps[r], -amps[r])
         # Pulses add to each sample in ascending edge order: a whole pulse per edge
@@ -108,24 +95,18 @@ def _switch(comp: Component, ins, dt_sim: float, oversample: int, amps: np.ndarr
     return out
 
 
-def _lowpass(comp: Component, ins, dt_sim: float, *_) -> np.ndarray:
+def _lowpass(comp: Component, x: np.ndarray, ins, steps: np.ndarray, dt_sim: float, *_) -> np.ndarray:
     alpha = 1.0 - math.exp(-2.0 * math.pi * comp.cutoff_hz * dt_sim)
-    return np.stack([_kernels.lowpass(np.ascontiguousarray(row), alpha) for row in ins[0]])
+    return np.stack([_kernels.lowpass(row, alpha) for row in x])
 
 
-# kind -> fn(comp, ins, dt_sim, oversample, amps) giving the output rows from the delayed
-# input rows and each row's glitch amplitude; for a pure delay pad the delay is the whole behavior
+# kind -> (the delayed_op giving its rows, fn(comp, rows, ins, steps, dt_sim, oversample, amps)
+# finishing them from the input node rows, each row's input delay in simulation steps and its
+# glitch amplitude); every other kind is the delayed_op of its name, with nothing to finish
 _BEHAVIOUR = {
-    "comparator": lambda c, ins, *_: np.where(ins[0] >= ins[1], c.params.logic_high, c.params.logic_low),
-    "analog_switch": _switch,
-    "inverting_amp": lambda c, ins, *_: -ins[0],
-    "equivalence_gate": lambda c, ins, *_: np.where(
-        (ins[0] >= 0.0) == (ins[1] >= 0.0), c.params.logic_high, c.params.logic_low
-    ),
-    "summer": lambda c, ins, *_: c.signs[0] * ins[0] + c.signs[1] * ins[1],
-    "integrator": lambda c, ins, dt, *_: np.cumsum(ins[0], axis=-1) * dt,
-    "lowpass": _lowpass,
-    "delay": lambda c, ins, *_: ins[0],
+    "analog_switch": ("analog_switch", _glitches),
+    "integrator": ("delay", lambda c, x, ins, steps, dt, *_: np.cumsum(x, axis=-1) * dt),
+    "lowpass": ("delay", _lowpass),
 }
 
 
@@ -149,18 +130,21 @@ def _run(net: Netlist, inputs: Mapping[str, Signal], oversample: int, delays, am
     except (ValueError, OverflowError, MemoryError):
         raise BadParam(f"oversample={oversample} gives too many samples") from None
     steps = np.minimum(delays, len(first)).astype(np.int64) * oversample
-    steps, amps = np.broadcast_arrays(steps, np.asarray(amps, dtype=np.float64))
+    steps, amps = (np.ascontiguousarray(a.T) for a in np.broadcast_arrays(steps, np.asarray(amps, dtype=np.float64)))
     size = max(1, _BATCH_SAMPLES // (len(first) * oversample))
-    for lo in range(0, len(steps), size):
-        rows, values = slice(lo, lo + size), dict(sources)
+    for lo in range(0, steps.shape[1], size):
+        batch, gains, values = steps[:, lo : lo + size], amps[:, lo : lo + size], dict(sources)
         with np.errstate(all="ignore"):  # an overflowed node fails the finite check below
             for j, comp in enumerate(net.components):
-                ins = [_delayed(values[name], steps[rows, j]) for name in comp.inputs]
-                wave = _BEHAVIOUR[comp.kind](comp, ins, first.dt / oversample, oversample, amps[rows, j])
-                values[comp.output] = np.asarray(wave, dtype=np.float64)
+                (op, finish), ins = _BEHAVIOUR.get(comp.kind, (comp.kind, None)), [values[k] for k in comp.inputs]
+                levels = comp.signs or (comp.params.logic_high, comp.params.logic_low)
+                wave = _kernels.delayed_op(op, ins, batch[j], *levels)
+                if finish:
+                    wave = finish(comp, wave, ins, batch[j], first.dt / oversample, oversample, gains[j])
+                values[comp.output] = wave
         nodes = {k: finite(np.ascontiguousarray(w[:, ::oversample]), f"waveform at node {k!r}")
                  for k, w in values.items() if k != GROUND}
-        yield {k: np.broadcast_to(w, (len(steps[rows]), len(first))) for k, w in nodes.items()}
+        yield {k: np.broadcast_to(w, (batch.shape[1], len(first))) for k, w in nodes.items()}
 
 
 def simulate(net: Netlist, inputs: Mapping[str, Signal], oversample: int = 1) -> SimTrace:

@@ -23,7 +23,7 @@ import numpy as np
 from . import _kernels
 from .errors import BadMode, BadParam, DegenerateDenominator, FlatResult, ShapeMismatch, finite
 from .ops import common_product
-from .signal import Signal, check_same_shape
+from .signal import Signal, _sample_interval, check_same_shape
 
 CORR_KINDS = ("common", "classic")
 CORR_MODES = ("full", "valid")
@@ -55,7 +55,7 @@ class CorrelationResult:
             raise BadParam(f"unknown mode {self.mode!r}")
         lags.setflags(write=False)
         values.setflags(write=False)
-        object.__setattr__(self, "dt", float(self.dt))
+        object.__setattr__(self, "dt", _sample_interval(self.dt))
         object.__setattr__(self, "lags", lags)
         object.__setattr__(self, "values", values)
 
@@ -92,7 +92,8 @@ def common_functional(f: Signal, g: Signal) -> float:
         BadParam: the integral overflows.
     """
     cp = common_product(f, g)
-    return finite(float(np.sum(cp.samples) * f.dt), "common functional")
+    with np.errstate(over="ignore", invalid="ignore"):  # finite raises on an overflowed sum
+        return finite(float(np.sum(cp.samples) * f.dt), "common functional")
 
 
 def classic_functional(f: Signal, g: Signal) -> float:
@@ -102,7 +103,8 @@ def classic_functional(f: Signal, g: Signal) -> float:
         BadParam: the integral overflows.
     """
     check_same_shape(f, g)
-    return finite(float(np.sum(f.samples * g.samples) * f.dt), "classic functional")
+    with np.errstate(over="ignore", invalid="ignore"):  # finite raises on an overflowed sum
+        return finite(float(np.sum(f.samples * g.samples) * f.dt), "classic functional")
 
 
 def cross_correlate(f: Signal, g: Signal, kind: str = "common", mode: str = "full") -> CorrelationResult:
@@ -145,8 +147,9 @@ def jaccard_index(f: Signal, g: Signal) -> float:
         BadParam: either integral overflows.
     """
     num = common_functional(f, g)
-    den = np.sum(np.maximum(np.abs(f.samples), np.abs(g.samples))) * f.dt
-    den = finite(float(den), "integral of max(|f|, |g|)")
+    with np.errstate(over="ignore", invalid="ignore"):  # finite raises on an overflowed sum
+        den = np.sum(np.maximum(np.abs(f.samples), np.abs(g.samples))) * f.dt
+        den = finite(float(den), "integral of max(|f|, |g|)")
     if den == 0.0:
         raise DegenerateDenominator("both signals are identically zero")
     return num / den

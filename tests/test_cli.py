@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, including exit codes and determinism."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -8,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from msetsig import Signal, gen, io as sio
+from msetsig import Signal, _kernels, gen, io as sio
+from msetsig._kernels import _fallback
 from msetsig.cli import main
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -207,6 +209,32 @@ class TestSim:
         rc = main(["sim", "--netlist", "union", "--a", sine_file, "--b", short])
         assert rc == 2
         assert capsys.readouterr().err.startswith("MetadataMismatch:")
+
+
+# blake2b digests of a glitchy, delayed, low-passed common-product run's trace
+# file, sweep table and --compare line, as the simulator wrote them when its
+# behaviours were numpy expressions; both kernel backends must keep them
+PINNED_DIGESTS = {
+    "trace": "6700fd9371a9d9314c6a475691bff13a",
+    "sweep": "87ef5825f51f2ff38e0651bd15a68b64",
+    "compare": "3aae23fb58f7808bc4794a4475e48cd7",
+}
+
+
+@pytest.mark.parametrize("backend", ["selected", "fallback"])
+def test_sim_and_sweep_bytes_are_pinned(backend, tmp_path, capsys, monkeypatch):
+    if backend == "fallback":
+        monkeypatch.setattr(_kernels, "delayed_op", _fallback.delayed_op)
+    i = np.arange(256)  # exact binary fractions, so that no input depends on the platform's libm
+    a = write_sig(tmp_path / "a.csv", Signal(0.001, 0.0, (i * 37 % 23 - 11) / 4))
+    b = write_sig(tmp_path / "b.csv", Signal(0.001, 0.0, (i * 29 % 19 - 9) / 8))
+    common = ["--netlist", "common_product", "--a", a, "--b", b, "--delay", "1",
+              "--glitch-amp", "0.2", "--glitch-w", "3", "--lowpass", "40"]
+    run_ok(["sim", *common, "--oversample", "3", "--trace", str(tmp_path / "t.csv"), "--compare"])
+    run_ok(["sweep", *common, "--spread", "0..3", "--seeds", "4", "--out", str(tmp_path / "s.csv")])
+    files = {"trace": (tmp_path / "t.csv").read_bytes(), "sweep": (tmp_path / "s.csv").read_bytes(),
+             "compare": capsys.readouterr().out.encode()}
+    assert {k: hashlib.blake2b(v, digest_size=16).hexdigest() for k, v in files.items()} == PINNED_DIGESTS
 
 
 class TestSweep:

@@ -192,6 +192,7 @@ def bits(a):
 def assert_signatures(impl):
     assert list(inspect.signature(impl.xcorr_common).parameters) == ["f", "g", "lag_lo", "lag_hi"]
     assert list(inspect.signature(impl.lowpass).parameters) == ["x", "alpha"]
+    assert list(inspect.signature(impl.delayed_op).parameters) == ["op", "ins", "steps", "p", "q"]
 
 
 @pytest.mark.parametrize("impl", [_fallback, _kernels], ids=["fallback", "selected"])
@@ -234,12 +235,17 @@ def test_compiled_lowpass_is_the_fallback(compiled, x, alpha):
 def test_concurrent_calls_agree(compiled):
     rng = np.random.default_rng(13)
     f, g = rng.standard_normal(3000), rng.standard_normal(2000)
-    want = bits(compiled.xcorr_common(f, g, -1999, 2999))
+    x, steps = rng.standard_normal((20, 2000)), rng.integers(0, 50, 20)
+    calls = [
+        lambda: compiled.xcorr_common(f, g, -1999, 2999),
+        lambda: compiled.delayed_op("analog_switch", (x, x[:1], -x), steps, 0.0, 0.0),
+    ]
+    want = [bits(call()) for call in calls]
     results = []
 
     def work():
         for _ in range(3):
-            results.append(bits(compiled.xcorr_common(f, g, -1999, 2999)))
+            results.extend(np.array_equal(bits(call()), w) for call, w in zip(calls, want))
 
     threads = [threading.Thread(target=work) for _ in range(2)]
     for t in threads:
@@ -247,8 +253,7 @@ def test_concurrent_calls_agree(compiled):
     for t in threads:
         t.join(timeout=60)
         assert not t.is_alive()
-    assert len(results) == 6
-    assert all(np.array_equal(r, want) for r in results)
+    assert results == [True] * 12
 
 
 def test_compiled_rejects_arrays_it_cannot_read(compiled):
@@ -265,3 +270,48 @@ def test_compiled_rejects_arrays_it_cannot_read(compiled):
     with pytest.raises(ValueError):
         compiled.xcorr_common(good, good, 3, 1)
     assert compiled.xcorr_common(good, good, 3, 2).shape == (0,)
+    rows, steps = good.reshape(2, 4), np.zeros(2, dtype=np.int64)
+    bad_ops = [
+        ("delay", (good,), steps),  # a 1-D input
+        ("delay", (rows.astype(np.float32),), steps),
+        ("delay", (np.arange(16.0).reshape(2, 8)[:, ::2],), steps),  # not contiguous
+        ("delay", (np.zeros((3, 4)),), steps),  # neither 1 row nor len(steps) rows
+        ("comparator", (rows, np.zeros((1, 5))), steps),  # inputs of two lengths
+        ("delay", (rows,), steps.astype(np.int32)),
+        ("delay", (rows,), steps.astype(np.float64)),
+        ("delay", (rows,), steps.reshape(2, 1)),
+        ("delay", (rows,), np.array([0, -1])),
+        ("delay", (rows,), np.zeros(0, dtype=np.int64)),
+        ("comparator", (rows,), steps),  # too few inputs
+        ("delay", rows[0], steps),  # not a sequence of arrays
+        ("integrator", (rows,), steps),
+    ]
+    for op, ins, delays in bad_ops:
+        with pytest.raises((TypeError, ValueError)):
+            compiled.delayed_op(op, ins, delays, 1.0, -1.0)
+
+
+# the simulator's elementwise behaviours and their input counts
+DELAYED_OPS = {"delay": 1, "inverting_amp": 1, "comparator": 2, "equivalence_gate": 2,
+               "analog_switch": 3, "summer": 2}
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_compiled_delayed_op_is_the_fallback(compiled, data):
+    op = data.draw(st.sampled_from(list(DELAYED_OPS)))
+    rows, n = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 12))
+    # delays from 0 to past n, often all equal so that a shared row stays shared
+    steps = data.draw(st.lists(st.integers(0, n + 3), min_size=rows, max_size=rows))
+    steps = np.array(steps[:1] * rows if data.draw(st.booleans()) else steps, dtype=np.int64)
+    ins = []
+    for _ in range(DELAYED_OPS[op]):
+        k = data.draw(st.sampled_from([1, rows]))
+        ins.append(np.array(data.draw(st.lists(samples, min_size=k * n, max_size=k * n)), dtype=np.float64).reshape(k, n))
+    # parameters near the float range's end make summer overflow to ±inf (and inf - inf)
+    p, q = data.draw(samples), data.draw(samples)
+    with np.errstate(all="ignore"):  # numpy warns where the sums overflow; C does not
+        got, want = compiled.delayed_op(op, ins, steps, p, q), _fallback.delayed_op(op, ins, steps, p, q)
+    shared = all(len(x) == 1 for x in ins) and (steps == steps[0]).all()
+    assert got.shape == want.shape == (1 if shared else rows, n)
+    assert np.array_equal(bits(got), bits(want))

@@ -33,6 +33,7 @@ from msetsig import (
 )
 from msetsig.circuit import (
     ComponentParams,
+    SimTrace,
     build_netlist,
     delay_sweep,
     format_netlist,
@@ -111,6 +112,27 @@ def test_grid_accepts_exactly_finite_t0(t0):
                 make()
 
 
+def _raised(make):
+    """The MsetError class that make() raises, or None if it returns."""
+    try:
+        make()
+    except errors.MsetError as exc:
+        return type(exc)
+    return None
+
+
+@given(dt=st.floats(), t0=st.floats())
+@example(dt=math.nan, t0=math.inf)
+def test_results_follow_the_signal_rule_for_dt_and_t0(dt, t0):
+    # NonPositiveDt for a dt that is not positive and finite, else BadParam for a t0 that is not finite
+    trace = lambda: SimTrace(dt, t0, {"out": np.zeros(2)}, "out")
+    result = lambda: CorrelationResult(dt, [0, 1], [1.0, 2.0])
+    for make, signal in ((trace, lambda: Signal(dt, t0, [0.0])), (result, lambda: Signal(dt, 0.0, [0.0]))):
+        assert _raised(make) is _raised(signal)
+        if _raised(make) is None:
+            assert make().dt == dt
+
+
 def test_peak_metrics_needs_a_positive_peak():
     for values in (-np.array([4.0, 1.0, 2.0, 3.0]), [0.0, -1.0, 0.0]):
         with pytest.raises(errors.FlatResult):
@@ -143,9 +165,10 @@ def test_svg_coordinates_are_finite_or_the_plot_raises(xs, ys):
 
 @pytest.mark.parametrize("fn", [common_functional, classic_functional, jaccard_index])
 def test_functionals_raise_on_overflow(fn):
-    f = Signal(1.0, 0.0, [1e308, 1e308])
-    with np.errstate(over="ignore"), pytest.raises(errors.BadParam):
-        fn(f, f)
+    # the sums overflow to inf, and to inf - inf = nan; neither may warn first
+    for samples in ([1e308, 1e308], [1e308, 1e308, -1e308, -1e308]):
+        with pytest.raises(errors.BadParam):
+            fn(Signal(1.0, 0.0, samples), Signal(1.0, 0.0, np.abs(samples)))
 
 
 # Every whole-number parameter, as a call that gives the result's bytes, and

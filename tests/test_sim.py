@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from msetsig import Signal, errors, gen
+from msetsig import Signal, _kernels, errors, gen
+from msetsig._kernels import _fallback
 from msetsig.circuit import (
     COMPONENT_KINDS,
     NETLIST_KINDS,
@@ -430,28 +431,36 @@ def bind_kind(net, rng, n, scale=1.0):
     return inputs
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(NETLIST_KINDS),
+    delay=st.integers(0, 3),
+    amp=st.sampled_from([0.0, 0.2, 1.5]),
+    width=st.integers(0, 5),
+    oversample=st.integers(1, 3),
+    n_seeds=st.integers(1, 7),
+    spreads=st.lists(st.one_of(st.integers(0, 5), st.just(10**20)), min_size=1, max_size=6),
+    n=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def check_rows_against_the_per_row_oracle(kind, delay, amp, width, oversample, n_seeds, spreads, n, seed):
+    net = build_netlist(kind, ComponentParams(
+        delay_samples=delay, glitch_amplitude=amp, glitch_width_samples=width))
+    rng = np.random.default_rng(seed)
+    inputs = bind_kind(net, rng, n, scale=10.0 ** rng.uniform(-3, 3))
+    got = delay_sweep(net, inputs, spreads, n_seeds=n_seeds, seed=seed)
+    assert repr(got) == repr(oracle_sweep(net, inputs, spreads, n_seeds, seed))
+    noise = switching_noise_rms(net, inputs, oversample)
+    assert repr(noise) == repr(oracle_noise(net, inputs, oversample))
+
+
 class TestBatchedRows:
-    @settings(max_examples=150, deadline=None)
-    @given(
-        kind=st.sampled_from(NETLIST_KINDS),
-        delay=st.integers(0, 3),
-        amp=st.sampled_from([0.0, 0.2, 1.5]),
-        width=st.integers(0, 5),
-        oversample=st.integers(1, 3),
-        n_seeds=st.integers(1, 7),
-        spreads=st.lists(st.one_of(st.integers(0, 5), st.just(10**20)), min_size=1, max_size=6),
-        n=st.integers(1, 60),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_rows_are_bitwise_the_per_row_oracle(self, kind, delay, amp, width, oversample, n_seeds, spreads, n, seed):
-        net = build_netlist(kind, ComponentParams(
-            delay_samples=delay, glitch_amplitude=amp, glitch_width_samples=width))
-        rng = np.random.default_rng(seed)
-        inputs = bind_kind(net, rng, n, scale=10.0 ** rng.uniform(-3, 3))
-        got = delay_sweep(net, inputs, spreads, n_seeds=n_seeds, seed=seed)
-        assert repr(got) == repr(oracle_sweep(net, inputs, spreads, n_seeds, seed))
-        noise = switching_noise_rms(net, inputs, oversample)
-        assert repr(noise) == repr(oracle_noise(net, inputs, oversample))
+    def test_rows_are_bitwise_the_per_row_oracle(self):
+        check_rows_against_the_per_row_oracle()
+
+    def test_fallback_rows_are_bitwise_the_per_row_oracle(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "delayed_op", _fallback.delayed_op)
+        check_rows_against_the_per_row_oracle()
 
     def test_split_batches_give_the_same_bytes(self, rng, monkeypatch):
         net = build_netlist("common_product", ComponentParams(delay_samples=1, glitch_amplitude=0.2))
