@@ -78,9 +78,9 @@ def switching_noise_rms(
     own = [c.params for c in net.components]
     rows = _run(net, inputs, oversample, [[p.delay_samples for p in own]],
                 [[p.glitch_amplitude for p in own], [0.0] * len(own)])
-    noisy, clean = np.concatenate([nodes[net.output] for nodes in rows])
+    out = np.concatenate([nodes[net.output] for _, nodes in rows])  # one row if no row differs
     with np.errstate(over="ignore"):
-        diff = noisy - clean
+        diff = out[0] - out[-1]
         return finite(float(np.sqrt(np.mean(diff * diff))), "switching noise rms")
 
 
@@ -114,10 +114,10 @@ def delay_sweep(
         with np.errstate(over="ignore"):
             delays = np.maximum(0, np.rint(base + directions * min(spread, sys.float_info.max)))
         total = 0.0
-        for nodes in _run(net, inputs, 1, delays, [[c.params.glitch_amplitude for c in net.components]]):
+        for count, nodes in _run(net, inputs, 1, delays, [[c.params.glitch_amplitude for c in net.components]]):
             with np.errstate(over="ignore"):
-                err = nodes[net.output] - ref.samples
-                for rms in np.sqrt(np.mean(err * err, axis=1)).tolist():
+                err = nodes[net.output] - ref.samples  # one row if no row differs
+                for rms in np.broadcast_to(np.sqrt(np.mean(err * err, axis=1)), count).tolist():
                     total += rms
         rows.append((spread, finite(total / n_seeds, "sweep rms error")))
     return rows

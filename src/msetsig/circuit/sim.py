@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
 from .. import _kernels
 from ..errors import BadParam, MetadataMismatch, UnboundInput, finite, whole
-from ..signal import Signal, _sample_interval, check_same_shape
+from ..signal import Signal, _real, _real_array, _sample_interval, check_same_shape
 from .netlist import GROUND, Component, Netlist
 
 
@@ -37,25 +38,27 @@ _BATCH_SAMPLES = 2**17  # per node in one batch of rows, or one row if longer
 
 @dataclass(frozen=True, eq=False)
 class SimTrace:
-    """Recorded waveform of every node in a simulation run."""
+    """Recorded waveform of every node in a simulation run. However the trace is
+    built, each node is a new read-only array of finite floats, all of one length."""
 
     dt: float
     t0: float
-    nodes: Dict[str, np.ndarray] = field(repr=False)
+    nodes: Mapping[str, np.ndarray] = field(repr=False)
     output: str
 
     def __post_init__(self):
         object.__setattr__(self, "dt", _sample_interval(self.dt))
-        object.__setattr__(self, "t0", finite(float(self.t0), "t0"))
-        if not self.nodes:
+        object.__setattr__(self, "t0", finite(_real(self.t0), "t0"))
+        if not isinstance(self.nodes, Mapping) or not self.nodes:
             raise BadParam("trace has no nodes")
-        lengths = {len(v) for v in self.nodes.values()}
-        if len(lengths) != 1:
+        nodes = {name: _real_array(wave, f"waveform at node {name!r}") for name, wave in self.nodes.items()}
+        if len({wave.size for wave in nodes.values()}) != 1:
             raise BadParam("trace waveforms differ in length")
-        for name, wave in self.nodes.items():
+        for name, wave in nodes.items():
             finite(wave, f"waveform at node {name!r}")
-        if self.output not in self.nodes:
+        if self.output not in nodes:
             raise BadParam(f"output node {self.output!r} not recorded")
+        object.__setattr__(self, "nodes", MappingProxyType(nodes))
 
     def __len__(self) -> int:
         return len(self.nodes[self.output])
@@ -100,21 +103,24 @@ def _lowpass(comp: Component, x: np.ndarray, ins, steps: np.ndarray, dt_sim: flo
     return np.stack([_kernels.lowpass(row, alpha) for row in x])
 
 
-# kind -> (the delayed_op giving its rows, fn(comp, rows, ins, steps, dt_sim, oversample, amps)
-# finishing them from the input node rows, each row's input delay in simulation steps and its
-# glitch amplitude); every other kind is the delayed_op of its name, with nothing to finish
+# kind -> (the delayed_op giving its rows, None or fn(comp, rows, ins, steps, dt_sim, oversample, amps)
+# finishing them from the input node rows, each row's input delay in simulation steps and its glitch
+# amplitude). Only these kinds can turn finite inputs into inf or NaN, so _run checks their nodes where
+# it makes them; any other kind is the delayed_op of its name and keeps a non-finite value where it was.
 _BEHAVIOUR = {
     "analog_switch": ("analog_switch", _glitches),
     "integrator": ("delay", lambda c, x, ins, steps, dt, *_: np.cumsum(x, axis=-1) * dt),
     "lowpass": ("delay", _lowpass),
+    "summer": ("summer", None),
 }
 
 
 def _run(net: Netlist, inputs: Mapping[str, Signal], oversample: int, delays, amps):
-    """Yield every node but ground on the input grid, a batch of rows at a time:
-    row r runs with component delays delays[r] in input samples (clamped to the
-    record length, past which only zero history is read) and glitch amplitudes
-    amps[r]. A node is (rows, n), broadcast from one row while no row differs."""
+    """Yield (rows, nodes) a batch of rows at a time: row r runs with component
+    delays delays[r] in input samples (clamped to the record length, past which
+    only zero history is read) and glitch amplitudes amps[r]. nodes maps every
+    node but ground to a view of its samples on the input grid, (rows, n), or
+    (1, n) while no row changes it. A non-finite sample there raises BadParam."""
     oversample = whole(oversample, "oversample", 1)
     for name in net.inputs:
         if name not in inputs:
@@ -134,17 +140,17 @@ def _run(net: Netlist, inputs: Mapping[str, Signal], oversample: int, delays, am
     size = max(1, _BATCH_SAMPLES // (len(first) * oversample))
     for lo in range(0, steps.shape[1], size):
         batch, gains, values = steps[:, lo : lo + size], amps[:, lo : lo + size], dict(sources)
-        with np.errstate(all="ignore"):  # an overflowed node fails the finite check below
+        with np.errstate(all="ignore"):  # an overflowed node fails its finite check
             for j, comp in enumerate(net.components):
                 (op, finish), ins = _BEHAVIOUR.get(comp.kind, (comp.kind, None)), [values[k] for k in comp.inputs]
                 levels = comp.signs or (comp.params.logic_high, comp.params.logic_low)
                 wave = _kernels.delayed_op(op, ins, batch[j], *levels)
                 if finish:
                     wave = finish(comp, wave, ins, batch[j], first.dt / oversample, oversample, gains[j])
+                if comp.kind in _BEHAVIOUR:
+                    finite(wave[:, ::oversample], f"waveform at node {comp.output!r}")
                 values[comp.output] = wave
-        nodes = {k: finite(np.ascontiguousarray(w[:, ::oversample]), f"waveform at node {k!r}")
-                 for k, w in values.items() if k != GROUND}
-        yield {k: np.broadcast_to(w, (batch.shape[1], len(first))) for k, w in nodes.items()}
+        yield batch.shape[1], {k: w[:, ::oversample] for k, w in values.items() if k != GROUND}
 
 
 def simulate(net: Netlist, inputs: Mapping[str, Signal], oversample: int = 1) -> SimTrace:
@@ -157,5 +163,5 @@ def simulate(net: Netlist, inputs: Mapping[str, Signal], oversample: int = 1) ->
     """
     own = [c.params for c in net.components]
     rows = _run(net, inputs, oversample, [[p.delay_samples for p in own]], [[p.glitch_amplitude for p in own]])
-    nodes, first = next(rows), inputs[net.inputs[0]]
+    (_, nodes), first = next(rows), inputs[net.inputs[0]]
     return SimTrace(first.dt, first.t0, {name: wave[0] for name, wave in nodes.items()}, net.output)

@@ -23,7 +23,7 @@ import numpy as np
 from . import _kernels
 from .errors import BadMode, BadParam, DegenerateDenominator, FlatResult, ShapeMismatch, finite
 from .ops import common_product
-from .signal import Signal, _sample_interval, check_same_shape
+from .signal import Signal, _real_array, _sample_interval, check_same_shape
 
 CORR_KINDS = ("common", "classic")
 CORR_MODES = ("full", "valid")
@@ -42,19 +42,15 @@ class CorrelationResult:
     mode: str = "full"
 
     def __post_init__(self):
-        lags = np.array(self.lags, dtype=np.int64, copy=True)
-        values = np.array(self.values, dtype=np.float64, copy=True)
-        if lags.ndim != 1 or values.ndim != 1 or lags.size != values.size:
-            raise BadParam("lags and values must be 1-D and of equal length")
-        if lags.size == 0:
-            raise BadParam("correlation result must be nonempty")
-        if lags.size > 1 and not np.all(np.diff(lags) == 1):
+        lags = _real_array(self.lags, "lags", whole=True)
+        values = _real_array(self.values, "correlation values")
+        if lags.size != values.size:
+            raise BadParam("lags and values must be of equal length")
+        if int(lags[-1]) - int(lags[0]) != lags.size - 1 or not np.all(np.diff(lags) == 1):  # int64 diffs wrap
             raise BadParam("lags must be contiguous and strictly increasing")
         finite(values, "correlation values")
         if self.mode not in CORR_MODES:
             raise BadParam(f"unknown mode {self.mode!r}")
-        lags.setflags(write=False)
-        values.setflags(write=False)
         object.__setattr__(self, "dt", _sample_interval(self.dt))
         object.__setattr__(self, "lags", lags)
         object.__setattr__(self, "values", values)

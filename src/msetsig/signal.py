@@ -19,11 +19,40 @@ import numpy as np
 from .errors import BadParam, NonFiniteSample, NonPositiveDt, ShapeMismatch, finite, whole
 
 
+def _real(value) -> float:
+    """float(value), or NaN if it is not a real number."""
+    try:  # numpy would drop the imaginary part of a complex value with only a warning
+        return np.nan if isinstance(value, (np.generic, np.ndarray)) and np.iscomplexobj(value) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        return np.nan
+
+
 def _sample_interval(dt) -> float:
-    value = float(dt)
+    value = _real(dt)
     if not (value > 0.0 and np.isfinite(value)):
         raise NonPositiveDt(f"dt must be positive and finite, got {dt!r}")
     return value
+
+
+def _real_array(value, what: str, whole: bool = False) -> np.ndarray:
+    """A new read-only array of ``value``, which must be one or more real numbers
+    in one dimension: float64 (None reads as NaN), or int64 if ``whole``, when
+    each must be a whole number in range. Anything else raises BadParam."""
+    try:
+        arr = np.array(value)  # a copy
+        if arr.dtype.kind == "c" or (arr.dtype.kind == "O" and any(map(np.iscomplexobj, arr.flat))):
+            raise TypeError  # numpy would drop the imaginary part with only a warning
+        if not (whole and arr.dtype.kind == "i"):  # an integer array is whole already
+            arr = arr.astype(np.float64, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.ndim != 1 or arr.size < 1:
+        raise BadParam(f"{what} must be one or more real numbers in one dimension")
+    if whole and arr.dtype.kind == "f" and not np.all((np.rint(arr) == arr) & (np.abs(arr) < 2.0**63)):
+        raise BadParam(f"{what} must be whole numbers")
+    arr = arr.astype(np.int64 if whole else np.float64, copy=False)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -41,14 +70,9 @@ class Signal:
     samples: np.ndarray
 
     def __post_init__(self):
-        dt, t0 = _sample_interval(self.dt), finite(float(self.t0), "t0")
-        arr = np.array(self.samples, dtype=np.float64, copy=True)
-        if arr.ndim != 1:
-            raise BadParam(f"samples must be one-dimensional, got shape {arr.shape}")
-        if arr.size < 1:
-            raise BadParam(f"{type(self).__name__} must contain at least one value")
+        dt, t0 = _sample_interval(self.dt), finite(_real(self.t0), "t0")
+        arr = _real_array(self.samples, "samples")
         self._check_values(arr)
-        arr.setflags(write=False)
         object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "t0", t0)
         object.__setattr__(self, "samples", arr)

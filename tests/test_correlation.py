@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -198,9 +200,22 @@ class TestResultValidation:
         with pytest.raises(errors.BadParam):
             CorrelationResult(1.0, np.array([0, 2]), np.array([1.0, 2.0]))
 
+    def test_lags_that_wrap_around_int64_are_not_contiguous(self):
+        with pytest.raises(errors.BadParam):
+            CorrelationResult(1.0, np.array([2**63 - 1, -(2**63)]), np.array([1.0, 2.0]))
+
     def test_lengths_must_match(self):
         with pytest.raises(errors.BadParam):
             CorrelationResult(1.0, np.arange(3), np.array([1.0]))
+
+    @pytest.mark.parametrize("lags", [[0.7, 1.2], [math.nan, 1.0], [2**70, 2**70 + 1], np.array([0.5, 1.5])])
+    def test_lags_must_be_whole_numbers(self, lags):
+        with pytest.raises(errors.BadParam):
+            CorrelationResult(1.0, lags, [1.0, 2.0])
+
+    def test_whole_float_lags_become_integers(self):
+        r = CorrelationResult(1.0, [-1.0, 0.0], [1.0, 2.0])
+        assert r.lags.dtype == np.int64 and r.lags.tolist() == [-1, 0]
 
     def test_values_finite(self):
         with pytest.raises(errors.BadParam):

@@ -1,7 +1,8 @@
 """Properties of the DSL round trip and depth bound, the signal grid, and the
 finiteness and peak contracts of the correlation layer, finite SVG
-coordinates, the whole-number and float parameters, and the sign series as a
-signal."""
+coordinates, the whole-number and float parameters, the sign series as a
+signal, and the input rules of the Signal, SimTrace and CorrelationResult
+constructors."""
 
 import math
 import sys
@@ -131,6 +132,36 @@ def test_results_follow_the_signal_rule_for_dt_and_t0(dt, t0):
         assert _raised(make) is _raised(signal)
         if _raised(make) is None:
             assert make().dt == dt
+
+
+scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.complex_numbers(),
+                    st.text(max_size=3), st.builds(np.complex128, st.complex_numbers()))
+anything = st.one_of(
+    scalars,
+    st.lists(scalars, max_size=4),
+    st.lists(st.lists(st.floats(), max_size=2), max_size=3),
+    st.lists(st.floats(), max_size=4).map(np.array),
+    st.lists(st.integers(-(2**63), 2**63 - 1), max_size=4).map(lambda xs: np.array(xs, dtype=np.int64)),
+    st.lists(st.complex_numbers(), max_size=3).map(np.array),
+    st.lists(st.lists(st.floats(), min_size=2, max_size=2), max_size=2).map(np.array),
+    st.dictionaries(st.sampled_from(["out", "x"]), st.lists(st.floats(), max_size=3), max_size=2),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(dt=anything, t0=anything, samples=anything, lags=anything, nodes=anything)
+@example(dt=1.0, t0=0.0, samples=[1.0, 2.0], lags=[0.7, 1.2], nodes={"out": [1.0, 2.0]})
+@example(dt=1.0, t0=0.0, samples=[None, np.complex128(1j)], lags=[None, np.complex128(0j)], nodes=None)
+def test_constructors_succeed_or_raise_an_mset_error(dt, t0, samples, lags, nodes):
+    for make in (lambda: Signal(dt, t0, samples), lambda: CorrelationResult(dt, lags, samples),
+                 lambda: SimTrace(dt, t0, nodes, "out"), lambda: SimTrace(dt, t0, {"out": samples}, "out")):
+        try:
+            made = make()
+        except errors.MsetError:
+            continue
+        for wave in (getattr(made, "samples", None), getattr(made, "values", None), getattr(made, "lags", None)):
+            if wave is not None:
+                assert wave.ndim == 1 and wave.size >= 1 and not wave.flags.writeable
 
 
 def test_peak_metrics_needs_a_positive_peak():

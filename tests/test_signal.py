@@ -34,6 +34,21 @@ class TestConstruction:
         with pytest.raises(errors.BadParam):
             Signal(0.1, 0.0, [])
 
+    @pytest.mark.parametrize("dt, samples, error", [
+        (1.0, ["a"], errors.BadParam),
+        (1.0, [[1.0], [1.0, 2.0]], errors.BadParam),
+        (1.0, np.array([1 + 2j, 3.0]), errors.BadParam),
+        (1.0, [None, np.complex128(1j)], errors.BadParam),
+        (1.0, [[1.0, 2.0]], errors.BadParam),
+        ("x", [1.0], errors.NonPositiveDt),
+        (np.complex128(1 + 2j), [1.0], errors.NonPositiveDt),
+        (1.0, [None], errors.NonFiniteSample),
+    ])
+    def test_bad_input_raises_its_error(self, dt, samples, error):
+        with pytest.raises(errors.MsetError) as exc:
+            Signal(dt, 0.0, samples)
+        assert type(exc.value) is error
+
     def test_samples_are_copied_and_frozen(self):
         src = np.array([1.0, 2.0])
         s = Signal(1.0, 0.0, src)

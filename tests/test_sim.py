@@ -15,6 +15,7 @@ from msetsig.circuit import (
     Component,
     ComponentParams,
     Netlist,
+    SimTrace,
     build_netlist,
     compare_to_math,
     delay_sweep,
@@ -331,6 +332,53 @@ class TestSimulateValidation:
         assert np.array_equal(trace.node_signal("f").samples, f.samples)
 
 
+class TestTraceContract:
+    def test_every_trace_holds_new_read_only_arrays(self):
+        a = np.array([1.0, 2.0])
+        trace = SimTrace(1.0, 0.0, {"out": a, "x": [3, 4]}, "out")
+        a[0] = 99.0
+        assert trace.nodes["out"].tolist() == [1.0, 2.0]
+        assert trace.nodes["x"].dtype == np.float64
+        for wave in trace.nodes.values():
+            with pytest.raises(ValueError):
+                wave[0] = 5.0
+        with pytest.raises(TypeError):
+            trace.nodes["x"] = 1
+
+    @pytest.mark.parametrize("wave", [np.ones((2, 2)), np.array([]), 3.0, "ab", [1 + 2j, 0.0]])
+    def test_a_node_that_is_not_one_real_row_is_bad_param(self, wave):
+        with pytest.raises(errors.BadParam):
+            SimTrace(1.0, 0.0, {"out": wave}, "out")
+
+
+class TestWhereNodesAreChecked:
+    """Only the switch, integrator, low-pass and summer can make a finite input
+    non-finite; each checks the samples it records, where it makes them."""
+
+    @staticmethod
+    def assert_every_run_raises_at(node, net, inputs):
+        for run in (lambda: simulate(net, inputs), lambda: delay_sweep(net, inputs, [0, 1]),
+                    lambda: switching_noise_rms(net, inputs)):
+            with pytest.raises(errors.BadParam, match=f"^waveform at node '{node}' must be finite$"):
+                run()
+
+    def test_an_inner_overflow_raises_although_the_output_is_finite(self):
+        net = build_netlist("common_product", ComponentParams(glitch_amplitude=1e308, glitch_width_samples=1))
+        inputs = {"f": Signal(1.0, 0.0, [1.7e308] * 3 + [-1.7e308]), "g": Signal(1.0, 0.0, [1.0, 1.0, -1.0, 1.7e308])}
+        self.assert_every_run_raises_at("s2", net, inputs)
+
+    def test_a_summer_overflow_raises_where_it_is_made(self):
+        net = build_netlist("union")
+        net = Netlist(net.inputs, (*net.components, Component("summer", "tail", (net.output, "f"))), "tail", net.kind)
+        self.assert_every_run_raises_at("tail", net, {"f": Signal(1.0, 0.0, [1.7e308, 1.0]), "g": Signal(1.0, 0.0, [0.0, 0.0])})
+
+    def test_an_overflow_on_a_dropped_sample_is_not_recorded(self):
+        net = Netlist(("f",), (Component("integrator", "out", ("f",)),), "out")
+        inputs = {"f": Signal(1.0, 0.0, [1.0, 1.0, 1.7e308])}
+        assert simulate(net, inputs, 2).nodes["out"].tolist() == [0.5, 1.5, 8.5e307]
+        assert switching_noise_rms(net, inputs, 2) == 0.0
+
+
 class TestAnalysis:
     def test_math_reference_needs_kind(self, rng):
         net = Netlist(("f",), (Component("inverting_amp", "out", ("f",)),), "out")
@@ -470,9 +518,9 @@ class TestBatchedRows:
         runs = []
 
         def counted(*args):
-            for nodes in sim._run(*args):
-                runs.append(len(nodes[net.output]))
-                yield nodes
+            for count, nodes in sim._run(*args):
+                runs.append(count)
+                yield count, nodes
 
         monkeypatch.setattr(analysis, "_run", counted)
         monkeypatch.setattr(sim, "_BATCH_SAMPLES", 120)
