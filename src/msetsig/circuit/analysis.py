@@ -29,7 +29,7 @@ def math_reference(net: Netlist, inputs: Mapping[str, Signal]) -> Signal:
     """
     if net.kind is None:
         raise BadParam("netlist carries no operation tag; pass an explicit reference")
-    if net.kind not in OPS:
+    if not isinstance(net.kind, str) or net.kind not in OPS:
         raise BadParam(f"no reference for netlist kind {net.kind!r}")
     return OPS[net.kind][1](*(inputs[name] for name in net.inputs))
 
@@ -45,13 +45,19 @@ def compare_to_math(trace: SimTrace, reference: Signal) -> Dict[str, object]:
         raise ShapeMismatch(
             f"trace length {out.size} vs reference length {len(reference)}"
         )
+    err, rms = _error_rms(out, reference.samples, "rms error")
+    return {
+        "rms_error": float(rms),
+        "max_error": finite(float(np.max(np.abs(err))), "max error"),
+        "error_signal": Signal(reference.dt, reference.t0, err),
+    }
+
+
+def _error_rms(out: np.ndarray, reference: np.ndarray, what: str):
+    """out - reference, and its rms along the last axis: BadParam ``what`` unless finite."""
     with np.errstate(over="ignore"):
-        err = out - reference.samples
-        return {
-            "rms_error": finite(float(np.sqrt(np.mean(err * err))), "rms error"),
-            "max_error": finite(float(np.max(np.abs(err))), "max error"),
-            "error_signal": Signal(reference.dt, reference.t0, err),
-        }
+        err = out - reference
+        return err, finite(np.sqrt(np.mean(err * err, axis=-1)), what, array=True)
 
 
 def quiet_copy(net: Netlist) -> Netlist:
@@ -79,9 +85,7 @@ def switching_noise_rms(
     rows = _run(net, inputs, oversample, [[p.delay_samples for p in own]],
                 [[p.glitch_amplitude for p in own], [0.0] * len(own)])
     out = np.concatenate([nodes[net.output] for _, nodes in rows])  # one row if no row differs
-    with np.errstate(over="ignore"):
-        diff = out[0] - out[-1]
-        return finite(float(np.sqrt(np.mean(diff * diff))), "switching noise rms")
+    return float(_error_rms(out[0], out[-1], "switching noise rms")[1])
 
 
 def delay_sweep(
@@ -115,9 +119,8 @@ def delay_sweep(
             delays = np.maximum(0, np.rint(base + directions * min(spread, sys.float_info.max)))
         total = 0.0
         for count, nodes in _run(net, inputs, 1, delays, [[c.params.glitch_amplitude for c in net.components]]):
-            with np.errstate(over="ignore"):
-                err = nodes[net.output] - ref.samples  # one row if no row differs
-                for rms in np.broadcast_to(np.sqrt(np.mean(err * err, axis=1)), count).tolist():
-                    total += rms
-        rows.append((spread, finite(total / n_seeds, "sweep rms error")))
+            _, rms = _error_rms(nodes[net.output], ref.samples, "sweep rms error")  # one row if no row differs
+            for value in np.broadcast_to(rms, count).tolist():
+                total += value
+        rows.append((spread, total / n_seeds))
     return rows

@@ -7,9 +7,12 @@ output of an earlier component. That ordering is also the evaluation order
 used by the simulator, so validation here is what keeps simulation a single
 forward pass.
 
+``_KINDS`` states the component kinds and ``_KEYS`` the keys of the text form.
+The constructors make every check: BadParam from ComponentParams, else NetlistError.
+
 The text serialization is line oriented. ``input <name>`` and
 ``output <name>`` declare the sources and the observed node; every other
-line is one component:
+line is one component, each key at most once:
 
     <type> <out> <in...> delay=<int> glitch_amp=<float> glitch_w=<int>
 
@@ -19,7 +22,9 @@ Low-pass components carry an extra ``fc=<float>`` token, summers carry
 
 from __future__ import annotations
 
+import numbers
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -27,27 +32,37 @@ from ..errors import BadParam, NetlistError, finite, whole
 
 GROUND = "gnd"
 
-# input counts per component type; switch inputs are (in_a, in_b, ctrl)
-_ARITY = {
-    "comparator": 2,
-    "analog_switch": 3,
-    "inverting_amp": 1,
-    "equivalence_gate": 2,
-    "summer": 2,
-    "integrator": 1,
-    "lowpass": 1,
-    "delay": 1,
+# kind -> (input count, the optional field only that kind takes); switch inputs are (in_a, in_b, ctrl)
+_KINDS = {
+    "comparator": (2, None),
+    "analog_switch": (3, None),
+    "inverting_amp": (1, None),
+    "equivalence_gate": (2, None),
+    "summer": (2, "signs"),
+    "integrator": (1, None),
+    "lowpass": (1, "cutoff_hz"),
+    "delay": (1, None),
 }
-COMPONENT_KINDS = tuple(_ARITY)
+COMPONENT_KINDS = tuple(_KINDS)
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-def _check_name(name: str, what: str) -> None:
-    if not _NAME_RE.fullmatch(name):
+def _check_name(name, what: str) -> None:
+    if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
         raise NetlistError(f"bad {what} name {name!r}")
     if name == GROUND and what != "node":
         raise NetlistError(f"{GROUND!r} is reserved")
+
+
+def _items(value, what: str) -> tuple:
+    """``value`` as a tuple, if it is an iterable other than a string."""
+    if not isinstance(value, str):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise NetlistError(f"{what} must be a sequence, not {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -86,29 +101,27 @@ class Component:
     signs: Optional[Tuple[int, int]] = None
 
     def __post_init__(self):
-        if self.kind not in COMPONENT_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise NetlistError(f"unknown component type {self.kind!r}")
+        want, own = _KINDS[self.kind]
         _check_name(self.output, "output")
-        object.__setattr__(self, "inputs", tuple(self.inputs))
+        object.__setattr__(self, "inputs", _items(self.inputs, "inputs"))
         for name in self.inputs:
             _check_name(name, "node")
-        want = _ARITY[self.kind]
         if len(self.inputs) != want:
-            raise NetlistError(
-                f"{self.kind} takes {want} input(s), got {len(self.inputs)}"
-            )
-        if self.kind == "lowpass":
-            if self.cutoff_hz is None or not self.cutoff_hz > 0:
-                raise NetlistError("lowpass requires cutoff_hz > 0")
-        elif self.cutoff_hz is not None:
-            raise NetlistError(f"cutoff_hz is only valid on lowpass, not {self.kind}")
-        if self.kind == "summer":
-            signs = self.signs if self.signs is not None else (1, 1)
-            if len(signs) != 2 or any(s not in (1, -1) for s in signs):
+            raise NetlistError(f"{self.kind} takes {want} input(s), got {len(self.inputs)}")
+        if not isinstance(self.params, ComponentParams):
+            raise NetlistError(f"params must be a ComponentParams, not {type(self.params).__name__}")
+        for kind, (_, name) in _KINDS.items():
+            if name and kind != self.kind and getattr(self, name) is not None:
+                raise NetlistError(f"{name} is only valid on {kind}, not {self.kind}")
+        if own == "cutoff_hz" and not (isinstance(self.cutoff_hz, numbers.Real) and self.cutoff_hz > 0):
+            raise NetlistError("lowpass requires cutoff_hz > 0")
+        if own == "signs":
+            signs = _items((1, 1) if self.signs is None else self.signs, "summer signs")
+            if len(signs) != 2 or not all(isinstance(s, numbers.Real) and s in (1, -1) for s in signs):
                 raise NetlistError("summer signs must be a pair of +1/-1")
-            object.__setattr__(self, "signs", tuple(signs))
-        elif self.signs is not None:
-            raise NetlistError(f"signs is only valid on summer, not {self.kind}")
+            object.__setattr__(self, "signs", signs)
 
 
 @dataclass(frozen=True)
@@ -119,8 +132,8 @@ class Netlist:
     kind: Optional[str] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "components", tuple(self.components))
+        object.__setattr__(self, "inputs", _items(self.inputs, "netlist inputs"))
+        object.__setattr__(self, "components", _items(self.components, "netlist components"))
         if not self.inputs:
             raise NetlistError("netlist declares no inputs")
         known = {GROUND}
@@ -130,6 +143,8 @@ class Netlist:
                 raise NetlistError(f"duplicate input {name!r}")
             known.add(name)
         for comp in self.components:
+            if not isinstance(comp, Component):
+                raise NetlistError(f"netlist components must be Components, not {type(comp).__name__}")
             for src in comp.inputs:
                 if src not in known:
                     raise NetlistError(
@@ -139,104 +154,79 @@ class Netlist:
             if comp.output in known:
                 raise NetlistError(f"node {comp.output!r} is driven twice")
             known.add(comp.output)
-        if self.output not in known:
+        if not isinstance(self.output, str) or self.output not in known:
             raise NetlistError(f"output node {self.output!r} is not driven")
 
     def census(self) -> dict:
         """Count components by type. Pure delay pads are wiring inserted for
         path balancing, not circuit elements, and are not counted."""
-        counts: dict = {}
-        for comp in self.components:
-            if comp.kind == "delay":
-                continue
-            counts[comp.kind] = counts.get(comp.kind, 0) + 1
-        return counts
+        return dict(Counter(comp.kind for comp in self.components if comp.kind != "delay"))
+
+
+# text key -> (the field it sets, how its value is read, how it is written), in written
+# order: fc and signs only where the kind takes them, high and low only off the default
+# levels. Reading leaves a signs character other than + or - for Component to reject.
+_KEYS = {
+    "delay": ("delay_samples", int, str),
+    "glitch_amp": ("glitch_amplitude", float, repr),
+    "glitch_w": ("glitch_width_samples", int, str),
+    "fc": ("cutoff_hz", float, repr),
+    "signs": ("signs", lambda text: tuple({"+": 1, "-": -1}.get(ch, ch) for ch in text),
+              lambda signs: "".join("+" if s > 0 else "-" for s in signs)),
+    "high": ("logic_high", float, repr),
+    "low": ("logic_low", float, repr),
+}
 
 
 def format_netlist(net: Netlist) -> str:
     """Serialize to the line-oriented text form."""
     lines = [f"input {name}" for name in net.inputs]
     for c in net.components:
-        p = c.params
-        parts = [c.kind, c.output, *c.inputs]
-        parts.append(f"delay={p.delay_samples}")
-        parts.append(f"glitch_amp={p.glitch_amplitude!r}")
-        parts.append(f"glitch_w={p.glitch_width_samples}")
-        if c.kind == "lowpass":
-            parts.append(f"fc={c.cutoff_hz!r}")
-        if c.kind == "summer":
-            parts.append("signs=" + "".join("+" if s > 0 else "-" for s in c.signs))
-        if (p.logic_high, p.logic_low) != (1.0, -1.0):
-            parts.append(f"high={p.logic_high!r}")
-            parts.append(f"low={p.logic_low!r}")
-        lines.append(" ".join(parts))
+        values = {**vars(c.params), "cutoff_hz": c.cutoff_hz, "signs": c.signs}
+        if (c.params.logic_high, c.params.logic_low) == (1.0, -1.0):
+            values.update(logic_high=None, logic_low=None)
+        keys = [f"{key}={write(values[name])}" for key, (name, _, write) in _KEYS.items() if values[name] is not None]
+        lines.append(" ".join([c.kind, c.output, *c.inputs, *keys]))
     lines.append(f"output {net.output}")
     return "\n".join(lines) + "\n"
-
-
-def _parse_kv(tok: str, lineno: int) -> tuple[str, str]:
-    key, sep, val = tok.partition("=")
-    if not sep or not val:
-        raise NetlistError(f"line {lineno}: bad token {tok!r}")
-    return key, val
 
 
 def parse_netlist(text: str) -> Netlist:
     """Parse the text form back into a Netlist. The math operation tag is not
     part of the format, so the result has kind=None."""
-    inputs: list[str] = []
+    if not isinstance(text, str):
+        raise NetlistError(f"netlist text must be a string, not {type(text).__name__}")
+    decls: dict = {"input": [], "output": []}
     components: list[Component] = []
-    output = None
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        toks = raw.split()
+        if not toks or toks[0].startswith("#"):
             continue
-        toks = line.split()
-        head = toks[0]
-        if head == "input":
-            if len(toks) != 2:
-                raise NetlistError(f"line {lineno}: input takes one name")
-            inputs.append(toks[1])
-            continue
-        if head == "output":
-            if len(toks) != 2:
-                raise NetlistError(f"line {lineno}: output takes one name")
-            if output is not None:
-                raise NetlistError(f"line {lineno}: duplicate output declaration")
-            output = toks[1]
-            continue
-        if head not in COMPONENT_KINDS:
-            raise NetlistError(f"line {lineno}: unknown component type {head!r}")
-        arity = _ARITY[head]
-        node_toks = toks[1 : 2 + arity]
-        if len(node_toks) != 1 + arity or any("=" in t for t in node_toks):
-            raise NetlistError(f"line {lineno}: {head} needs an output and {arity} input(s)")
-        kv = dict(_parse_kv(t, lineno) for t in toks[2 + arity :])
+        head, *rest = toks
         try:
-            params = ComponentParams(
-                delay_samples=int(kv.pop("delay", 0)),
-                glitch_amplitude=float(kv.pop("glitch_amp", 0.0)),
-                glitch_width_samples=int(kv.pop("glitch_w", 2)),
-                logic_high=float(kv.pop("high", 1.0)),
-                logic_low=float(kv.pop("low", -1.0)),
-            )
-            cutoff = float(kv.pop("fc")) if "fc" in kv else None
-            signs = None
-            if "signs" in kv:
-                text_signs = kv.pop("signs")
-                if not re.fullmatch(r"[+-]{2}", text_signs):
-                    raise NetlistError(f"line {lineno}: bad signs {text_signs!r}")
-                signs = tuple(1 if ch == "+" else -1 for ch in text_signs)
-        except (ValueError, BadParam) as exc:
+            if head in decls:
+                if len(rest) != 1:
+                    raise NetlistError(f"{head} takes one name")
+                decls[head].append(rest[0])
+                if len(decls["output"]) > 1:
+                    raise NetlistError("duplicate output declaration")
+                continue
+            n = next((i for i, tok in enumerate(rest) if "=" in tok), len(rest))
+            if n == 0:
+                raise NetlistError(f"{head} needs an output node")
+            fields = {}
+            for tok in rest[n:]:
+                key, _, value = tok.partition("=")
+                if not value or key not in _KEYS:
+                    raise NetlistError(f"bad token {tok!r}")
+                name, read, _ = _KEYS[key]
+                if name in fields:
+                    raise NetlistError(f"repeated key {key!r}")
+                fields[name] = read(value)
+            own = {name: fields.pop(name) for _, name in _KINDS.values() if name in fields}
+            components.append(Component(head, rest[0], rest[1:n], ComponentParams(**fields), **own))
+        except (BadParam, NetlistError, ValueError) as exc:
             raise NetlistError(f"line {lineno}: {exc}") from None
-        if kv:
-            raise NetlistError(f"line {lineno}: unknown token {sorted(kv)[0]!r}")
-        try:
-            components.append(
-                Component(head, node_toks[0], tuple(node_toks[1:]), params, cutoff, signs)
-            )
-        except NetlistError as exc:
-            raise NetlistError(f"line {lineno}: {exc}") from None
-    if output is None:
+    if not decls["output"]:
         raise NetlistError("missing output declaration")
-    return Netlist(tuple(inputs), tuple(components), output)
+    return Netlist(decls["input"], components, decls["output"][0])

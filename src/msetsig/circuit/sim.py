@@ -55,8 +55,8 @@ class SimTrace:
         if len({wave.size for wave in nodes.values()}) != 1:
             raise BadParam("trace waveforms differ in length")
         for name, wave in nodes.items():
-            finite(wave, f"waveform at node {name!r}")
-        if self.output not in nodes:
+            finite(wave, f"waveform at node {name!r}", array=True)
+        if not isinstance(self.output, str) or self.output not in nodes:
             raise BadParam(f"output node {self.output!r} not recorded")
         object.__setattr__(self, "nodes", MappingProxyType(nodes))
 
@@ -148,7 +148,7 @@ def _run(net: Netlist, inputs: Mapping[str, Signal], oversample: int, delays, am
                 if finish:
                     wave = finish(comp, wave, ins, batch[j], first.dt / oversample, oversample, gains[j])
                 if comp.kind in _BEHAVIOUR:
-                    finite(wave[:, ::oversample], f"waveform at node {comp.output!r}")
+                    finite(wave[:, ::oversample], f"waveform at node {comp.output!r}", array=True)
                 values[comp.output] = wave
         yield batch.shape[1], {k: w[:, ::oversample] for k, w in values.items() if k != GROUND}
 

@@ -48,8 +48,8 @@ class CorrelationResult:
             raise BadParam("lags and values must be of equal length")
         if int(lags[-1]) - int(lags[0]) != lags.size - 1 or not np.all(np.diff(lags) == 1):  # int64 diffs wrap
             raise BadParam("lags must be contiguous and strictly increasing")
-        finite(values, "correlation values")
-        if self.mode not in CORR_MODES:
+        finite(values, "correlation values", array=True)
+        if not isinstance(self.mode, str) or self.mode not in CORR_MODES:
             raise BadParam(f"unknown mode {self.mode!r}")
         object.__setattr__(self, "dt", _sample_interval(self.dt))
         object.__setattr__(self, "lags", lags)

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import ops
 from .errors import BadParam, DepthExceeded, ExprSyntaxError, UnboundVariable, finite
-from .signal import Signal, check_same_shape
+from .signal import Signal, _real, check_same_shape
 
 MAX_DEPTH = 256
 
@@ -77,7 +77,7 @@ class Var:
     name: str
 
     def __post_init__(self):
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", self.name):
+        if not isinstance(self.name, str) or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", self.name):
             raise BadParam(f"bad variable name {self.name!r}")
 
 
@@ -86,7 +86,7 @@ class Const:
     value: float
 
     def __post_init__(self):
-        object.__setattr__(self, "value", finite(float(self.value), "constant"))
+        object.__setattr__(self, "value", finite(_real(self.value), "constant"))
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ class Unary:
     child: "Expr"
 
     def __post_init__(self):
-        if self.op not in UNARY_OPS:
+        if not isinstance(self.op, str) or self.op not in UNARY_OPS:
             raise BadParam(f"bad unary op {self.op!r}")
 
 
@@ -106,7 +106,7 @@ class Binary:
     right: "Expr"
 
     def __post_init__(self):
-        if self.op not in BINARY_OPS:
+        if not isinstance(self.op, str) or self.op not in BINARY_OPS:
             raise BadParam(f"bad binary op {self.op!r}")
 
 
@@ -116,7 +116,7 @@ class Call:
     child: "Expr"
 
     def __post_init__(self):
-        if self.fn not in CALL_NAMES:
+        if not isinstance(self.fn, str) or self.fn not in CALL_NAMES:
             raise BadParam(f"bad function {self.fn!r}")
 
 
@@ -127,6 +127,8 @@ class Environment:
     """Named signal bindings sharing one length/dt/t0 grid."""
 
     def __init__(self, bindings: Mapping[str, Signal]):
+        if not isinstance(bindings, Mapping):
+            raise BadParam("bindings must be a mapping of names to signals")
         items = dict(bindings)
         for name, sig in items.items():
             if not isinstance(sig, Signal):

@@ -30,8 +30,8 @@ class BadParam(MsetError):
 def whole(value, what: str, least: int | None = None) -> int:
     """``value`` as an int, if it is a whole number no less than ``least``.
     Integral floats such as 2.0 pass; anything else raises BadParam."""
-    try:
-        n = int(value)
+    try:  # int() would drop a complex number's imaginary part with only a warning
+        n = None if np.iscomplexobj(value) else int(value)
         ok = n == value and (least is None or n >= least)
     except (TypeError, ValueError, OverflowError):
         ok = False
@@ -41,10 +41,15 @@ def whole(value, what: str, least: int | None = None) -> int:
     return n
 
 
-def finite(value, what: str, least: float | None = None):
-    """``value``, if it is a finite number no less than ``least``, or an array
-    of finite numbers; anything else raises BadParam."""
-    if not np.all(np.isfinite(value)):
+def finite(value, what: str, least: float | None = None, array: bool = False):
+    """``value``, if it is a finite real number no less than ``least`` or, if
+    ``array``, an ndarray of finite real numbers; anything else raises BadParam."""
+    try:  # the dtype kind (bool, int, unsigned, float) refuses strings, None, objects and complex values
+        arr = np.asarray(value)  # the array itself, if value is one
+        ok = arr.dtype.kind in "biuf" and (arr.ndim == 0 or array and arr is value) and np.all(np.isfinite(arr))
+    except ValueError:  # a ragged sequence
+        ok = False
+    if not ok:
         raise BadParam(f"{what} must be finite")
     if least is not None and value < least:
         raise BadParam(f"{what} must be >= {least}, got {value!r}")

@@ -192,15 +192,14 @@ def gen(
             amplitude or frequency, non-positive width, a bad n or seed,
             unknown kind, or white_noise without a seed.
     """
-    if kind not in _WAVEFORMS:
+    if not isinstance(kind, str) or kind not in _WAVEFORMS:
         raise BadParam(f"unknown generator kind {kind!r}; expected one of {', '.join(GEN_KINDS)}")
     n = whole(n, "n", 1)
     dt = _sample_interval(dt)
-    finite(amplitude, "amplitude", 0)
-    finite(frequency, "frequency", 0)
-    for name, value in dict(phase=phase, t0=t0, center=center, width=width).items():
-        if value is not None:
-            finite(value, name)
+    for name, value, least in (("amplitude", amplitude, 0), ("frequency", frequency, 0), ("phase", phase, None),
+                               ("t0", t0, None), ("center", center, None), ("width", width, None)):
+        if value is not None or name not in ("center", "width"):  # None gives their defaults
+            finite(value, name, least)
 
     inputs, shape = _WAVEFORMS[kind]
     with np.errstate(all="ignore"):
@@ -212,7 +211,7 @@ def gen(
             raise BadParam(f"n={n} is too many samples")
         args = dict(dt=dt, t0=t0, frequency=frequency, phase=phase, center=center, width=width, seed=seed)
         samples = amplitude * shape(*inputs(t, **args))
-    return Signal(dt, t0, finite(samples, f"{kind} samples"))
+    return Signal(dt, t0, finite(samples, f"{kind} samples", array=True))
 
 
 def shift(f: Signal, k: int) -> Signal:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ class TestOp:
         p1, p2 = tmp_path / "c1.csv", tmp_path / "c2.csv"
         run_ok(["op", "--name", "complement", "--a", sine_file, "--out", str(p1)])
         run_ok(["op", "--name", "complement", "--a", str(p1), "--out", str(p2)])
-        assert p2.read_bytes() == open(sine_file, "rb").read()
+        assert p2.read_bytes() == Path(sine_file).read_bytes()
 
     def test_binary_requires_b(self, tmp_path, sine_file):
         with pytest.raises(SystemExit) as exc:

@@ -249,6 +249,10 @@ class TestSerialization:
         with pytest.raises(errors.NetlistError):
             parse_netlist("input f\ninverting_amp out f q=1\noutput out\n")
 
+    def test_repeated_key_rejected(self):
+        with pytest.raises(errors.NetlistError, match="^line 2: repeated key 'delay'$"):
+            parse_netlist("input f\ninverting_amp out f delay=3 delay=1\noutput out\n")
+
     def test_missing_output(self):
         with pytest.raises(errors.NetlistError):
             parse_netlist("input f\ninverting_amp out f\n")

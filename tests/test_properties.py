@@ -1,8 +1,8 @@
 """Properties of the DSL round trip and depth bound, the signal grid, and the
 finiteness and peak contracts of the correlation layer, finite SVG
 coordinates, the whole-number and float parameters, the sign series as a
-signal, and the input rules of the Signal, SimTrace and CorrelationResult
-constructors."""
+signal, the input rules of the Signal, SimTrace, CorrelationResult, DSL and
+netlist constructors, and the netlist text round trip."""
 
 import math
 import sys
@@ -33,7 +33,10 @@ from msetsig import (
     write_csv,
 )
 from msetsig.circuit import (
+    COMPONENT_KINDS,
+    Component,
     ComponentParams,
+    Netlist,
     SimTrace,
     build_netlist,
     delay_sweep,
@@ -41,7 +44,8 @@ from msetsig.circuit import (
     parse_netlist,
     simulate,
 )
-from msetsig.dsl import MAX_DEPTH
+from msetsig.circuit.netlist import _KINDS
+from msetsig.dsl import MAX_DEPTH, Binary, Call, Const, Unary, Var
 from msetsig.signal import check_same_shape
 
 TOKENS = ["f", "g", "sin", "cos", "abs", "sign", "tan", "x_1", "1", "2.5", ".5", "3e-2",
@@ -152,9 +156,18 @@ anything = st.one_of(
 @given(dt=anything, t0=anything, samples=anything, lags=anything, nodes=anything)
 @example(dt=1.0, t0=0.0, samples=[1.0, 2.0], lags=[0.7, 1.2], nodes={"out": [1.0, 2.0]})
 @example(dt=1.0, t0=0.0, samples=[None, np.complex128(1j)], lags=[None, np.complex128(0j)], nodes=None)
+@example(dt=1.0, t0=0.0, samples=[1.0, 2.0], lags=[0, 1], nodes={"out": [1.0], "x": [1.0, 2.0]})
+@example(dt=1.0, t0=1 + 2j, samples=["out"], lags=[0], nodes={"x": [1.0]})
 def test_constructors_succeed_or_raise_an_mset_error(dt, t0, samples, lags, nodes):
+    # t0 also stands in for a mode, a DSL name or constant, an operator and a generator kind
+    f = Var("f")
     for make in (lambda: Signal(dt, t0, samples), lambda: CorrelationResult(dt, lags, samples),
-                 lambda: SimTrace(dt, t0, nodes, "out"), lambda: SimTrace(dt, t0, {"out": samples}, "out")):
+                 lambda: CorrelationResult(1.0, lags, samples, t0),
+                 lambda: SimTrace(dt, t0, nodes, "out"), lambda: SimTrace(dt, t0, {"out": samples}, "out"),
+                 lambda: SimTrace(1.0, 0.0, {"out": [1.0]}, samples),
+                 lambda: Var(t0), lambda: Const(t0), lambda: Unary(t0, f), lambda: Binary(t0, f, f),
+                 lambda: Call(t0, f), lambda: Environment({"f": samples}), lambda: Environment(samples),
+                 lambda: gen(t0, 1.0, 2), lambda: gen("sine", 1.0, 2, amplitude=t0, phase=samples)):
         try:
             made = make()
         except errors.MsetError:
@@ -180,16 +193,19 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=300, deadline=None)
-@given(xs=st.lists(finite, min_size=1, max_size=6), ys=st.lists(finite, min_size=1, max_size=6))
+@given(xs=st.lists(finite, max_size=6), ys=st.lists(finite, max_size=6))
 @example(xs=[0.0, 1.0], ys=[1e308, -1e308])
 @example(xs=[-1e308, 1e308], ys=[0.0, 1.0])
 @example(xs=[0.0, 1.0], ys=[1e300, 1e300])
+@example(xs=[], ys=[1.0])
+@example(xs=[1.0], ys=[])
 def test_svg_coordinates_are_finite_or_the_plot_raises(xs, ys):
+    # no xs plots no series, and no ys one empty series
     n = min(len(xs), len(ys))
     try:
-        text = svg.line_plot([("s", np.array(xs[:n]), np.array(ys[:n]))])
+        text = svg.line_plot([("s", np.array(xs[:n]), np.array(ys[:n]))] if xs else [])
     except errors.BadParam:
-        assert max(abs(v) for v in xs[:n] + ys[:n]) > 1e307  # only near the float range's end
+        assert n == 0 or max(abs(v) for v in xs[:n] + ys[:n]) > 1e307  # only near the float range's end
         return
     assert "nan" not in text and "inf" not in text
 
@@ -259,7 +275,8 @@ def test_whole_number_parameters_succeed_or_raise_bad_param(name, value):
 
 
 gen_floats = st.one_of(st.floats(-10.0, 10.0),
-                       st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308, 1e-320]))
+                       st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308, 1e-320]),
+                       st.sampled_from(["1", 1j, np.complex128(1.0), None, [1.0], np.ones(2)]))
 
 
 @settings(max_examples=400, deadline=None)
@@ -304,3 +321,57 @@ def test_integral_float_delay_formats_as_an_integer():
     text = format_netlist(net)
     assert text == format_netlist(build_netlist("absolute", ComponentParams(1, 0.0, 3)))
     assert format_netlist(parse_netlist(text)) == text
+
+
+node_names = st.sampled_from(["f", "g", "out", "gnd", "x1", "1a", ""])
+netlist_tokens = st.sampled_from(["input", "output", "f", "g", "out", "gnd", "comparator", "lowpass", "summer",
+                                  "delay=1", "delay=1.5", "fc=2", "fc=0", "signs=+-", "signs=+", "high=5",
+                                  "low=0", "glitch_amp=x", "q=1", "=", "#", " ", "\n", "\n"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=st.fixed_dictionaries({}, optional={name: st.one_of(st.integers(0, 3), anything) for name in (
+           "delay_samples", "glitch_amplitude", "glitch_width_samples", "logic_high", "logic_low")}),
+       kind=st.one_of(st.sampled_from(COMPONENT_KINDS), anything), output=st.one_of(node_names, anything),
+       inputs=st.one_of(st.lists(node_names, max_size=3), anything), other=anything,
+       text=st.one_of(st.lists(netlist_tokens, max_size=30).map(" ".join), anything))
+@example(params={"logic_high": 2j}, kind="lowpass", output="o", inputs=["f"], other="5", text=5)
+@example(params={}, kind="summer", output="o", inputs="fg", other=None, text="input f\nsummer o f f signs=+\n")
+@example(params={}, kind="delay", output="f", inputs=["f"], other=["x"], text="input f\noutput f\n")
+@example(params={}, kind="summer", output=["o"], inputs=5, other=5, text="input f\ninverting_amp o f delay=3 delay=1\n")
+def test_netlist_constructors_succeed_or_raise_an_mset_error(params, kind, output, inputs, other, text):
+    # other stands in for a cutoff, the signs, the params, a component and a netlist kind
+    comp = Component("inverting_amp", "o", ("f",))
+    for make in (lambda: ComponentParams(**params),
+                 lambda: Component(kind, output, inputs, other),
+                 lambda: Component(kind, output, inputs, cutoff_hz=other),
+                 lambda: Component("lowpass", "o", ("f",), cutoff_hz=other),
+                 lambda: Component("summer", "o", ("f", "g"), signs=other),
+                 lambda: Netlist(inputs, (comp,), output, other), lambda: Netlist(("f",), other, "o"),
+                 lambda: Netlist(("f",), (comp, other), "o"), lambda: parse_netlist(text)):
+        try:
+            make()
+        except errors.MsetError:
+            pass
+
+
+@st.composite
+def netlists(draw):
+    known, comps = ["x", "y", "gnd"], []
+    for i in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(COMPONENT_KINDS))
+        high = draw(st.one_of(st.integers(-5, 5), st.floats(-1e6 + 1, 1e6)))
+        params = ComponentParams(draw(st.integers(0, 4)), draw(st.floats(0.0, 10.0)), draw(st.integers(0, 4)),
+                                 high, draw(st.floats(-1e6, high, exclude_max=True)))
+        extra = {"lowpass": {"cutoff_hz": draw(st.floats(1e-6, 1e9))},
+                 "summer": {"signs": draw(st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1])))}}
+        inputs = tuple(draw(st.sampled_from(known)) for _ in range(_KINDS[kind][0]))
+        comps.append(Component(kind, f"n{i}", inputs, params, **extra.get(kind, {})))
+        known.append(f"n{i}")
+    return Netlist(("x", "y"), comps, draw(st.sampled_from(known)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(netlists())
+def test_parse_of_format_gives_the_netlist(net):
+    assert parse_netlist(format_netlist(net)) == net

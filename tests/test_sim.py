@@ -26,7 +26,7 @@ from msetsig.circuit import (
     switching_noise_rms,
 )
 from msetsig.circuit import analysis, sim
-from msetsig.circuit.netlist import _ARITY
+from msetsig.circuit.netlist import _KINDS
 
 from conftest import rand_signal
 
@@ -58,7 +58,7 @@ def per_edge_glitches(a, b, ctrl, amp, width, oversample):
 
 @pytest.mark.parametrize("kind", COMPONENT_KINDS)
 def test_every_component_kind_simulates(kind, rng):
-    names = tuple(f"x{i}" for i in range(_ARITY[kind]))
+    names = tuple(f"x{i}" for i in range(_KINDS[kind][0]))
     comp = Component(kind, "out", names, cutoff_hz=10.0 if kind == "lowpass" else None)
     inputs = {name: rand_signal(rng, n=16) for name in names}
     out = simulate(Netlist(names, (comp,), "out"), inputs).nodes["out"]
