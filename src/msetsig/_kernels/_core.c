@@ -8,9 +8,12 @@
  * read as raw memory. The loops run without the GIL and keep no state
  * between calls.
  *
- * Build with -ffp-contract=off and without -ffast-math: every sum below is
- * meant to round exactly as the sequential order written here, which a
- * fused multiply-add or a reassociation would change.
+ * Build with -ffp-contract=off and without -ffast-math: every double sum
+ * below is meant to round exactly as the sequential order written here, which
+ * a fused multiply-add or a reassociation would change. Common correlation of
+ * whole numbers runs on int16 copies instead, where every sum is exact, so the
+ * compiler may vectorise it in any order and the result is still bitwise the
+ * sequential double loop's.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -75,6 +78,42 @@ static void xcorr_common_loop(const double *f, Py_ssize_t nf, const double *gr, 
     }
 }
 
+/* The largest |x[i]| if every x[i] is a whole number of magnitude <= 32767; otherwise -1,
+ * returned at the first other sample. */
+static double whole_max(const double *x, Py_ssize_t n)
+{
+    double top = 0.0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        double a = fabs(x[i]);
+        if (!(a <= 32767.0) || a != (double)(int32_t)a)
+            return -1.0;
+        top = a > top ? a : top;
+    }
+    return top;
+}
+
+/* xcorr_common_loop on whole numbers of magnitude <= 32767, copied to w (nf + ng int16): each
+ * lag is summed over its own overlap in an int32 that the caller's bound keeps from
+ * overflowing. Every partial sum is an integer below 2^53, so the double loop's sums are
+ * exact too and equal these, and a zero sum is +0.0 on both. */
+static void xcorr_whole_loop(const double *f, Py_ssize_t nf, const double *g, Py_ssize_t ng, int16_t *w,
+                             Py_ssize_t lag_lo, Py_ssize_t nlag, double *out)
+{
+    const int16_t *fw = w, *gw = w + nf;
+    for (Py_ssize_t i = 0; i < nf + ng; i++)
+        w[i] = (int16_t)(i < nf ? f[i] : g[i - nf]);
+    for (Py_ssize_t idx = 0; idx < nlag; idx++) {
+        Py_ssize_t k = lag_lo + idx, lo = k > 0 ? k : 0, hi = k + ng < nf ? k + ng : nf;
+        int32_t acc = 0;
+        for (Py_ssize_t i = lo; i < hi; i++) {
+            int16_t a = fw[i], b = gw[i - k], s = (a ^ b) >> 15; /* -1 where the signs differ, else 0 */
+            int16_t fa = a < 0 ? -a : a, fb = b < 0 ? -b : b, m = fa < fb ? fa : fb;
+            acc += (int16_t)((m ^ s) - s);
+        }
+        out[idx] = acc;
+    }
+}
+
 /* Borrow obj as an ndim-D C-contiguous native float64 (if ints, int64) buffer; 0 on success. */
 static int get_array(PyObject *obj, Py_buffer *view, int flags, int ndim, int ints, const char *name)
 {
@@ -106,7 +145,10 @@ PyDoc_STRVAR(xcorr_common_doc,
 "Lag k aligns g[i - k] with f[i]; samples outside either signal contribute\n"
 "nothing. Returns one value per lag in [lag_lo, lag_hi]; the caller\n"
 "applies the dt scale. Each lag is summed in ascending i, so for finite\n"
-"inputs the result is bitwise that of the plain sequential loop.");
+"inputs the result is bitwise that of the plain sequential loop. When every\n"
+"sample is a whole number of magnitude <= 32767 and min(len(f), len(g)) *\n"
+"min(max|f|, max|g|) <= 2**31 - 1, the sums run in int32, which are exact\n"
+"and give those same bits.");
 
 static PyObject *xcorr_common(PyObject *Py_UNUSED(module), PyObject *args)
 {
@@ -127,18 +169,26 @@ static PyObject *xcorr_common(PyObject *Py_UNUSED(module), PyObject *args)
         return NULL;
     }
     Py_ssize_t nf = fv.shape[0], ng = gv.shape[0], nlag = lag_hi - lag_lo + 1;
-    double *gr = PyMem_Calloc((size_t)ng + 2 * (BLOCK - 1), sizeof(double));
-    res = gr == NULL ? PyErr_NoMemory() : new_doubles(1, 1, nlag, &ov);
+    const double *f = fv.buf, *g = gv.buf;
+    /* whole numbers whose partial sums, each at most min(nf, ng) terms, fit an int32 */
+    double fmax = whole_max(f, nf), gmax = fmax < 0.0 ? -1.0 : whole_max(g, ng);
+    int whole = gmax >= 0.0 && (double)(nf < ng ? nf : ng) * (fmax < gmax ? fmax : gmax) <= INT32_MAX;
+    void *work = whole ? PyMem_Malloc(((size_t)nf + (size_t)ng) * sizeof(int16_t))
+                       : PyMem_Calloc((size_t)ng + 2 * (BLOCK - 1), sizeof(double));
+    res = work == NULL ? PyErr_NoMemory() : new_doubles(1, 1, nlag, &ov);
     if (res != NULL) {
-        const double *g = gv.buf;
-        for (Py_ssize_t m = 0; m < ng; m++)
+        double *gr = work;
+        for (Py_ssize_t m = 0; !whole && m < ng; m++)
             gr[(BLOCK - 1) + m] = g[ng - 1 - m];
         Py_BEGIN_ALLOW_THREADS
-        xcorr_common_loop(fv.buf, nf, gr, ng, lag_lo, nlag, ov.buf);
+        if (whole)
+            xcorr_whole_loop(f, nf, g, ng, work, lag_lo, nlag, ov.buf);
+        else
+            xcorr_common_loop(f, nf, gr, ng, lag_lo, nlag, ov.buf);
         Py_END_ALLOW_THREADS
         PyBuffer_Release(&ov);
     }
-    PyMem_Free(gr);
+    PyMem_Free(work);
     PyBuffer_Release(&gv);
     PyBuffer_Release(&fv);
     return res;

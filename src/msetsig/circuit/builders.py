@@ -110,7 +110,7 @@ def build_netlist(kind: str, params: Optional[ComponentParams] = None) -> Netlis
     With nonzero delay_samples the netlist is delay-balanced; the aligned
     output then lags the ideal result by a fixed whole number of samples.
     """
-    if kind not in NETLIST_KINDS:
+    if not isinstance(kind, str) or kind not in NETLIST_KINDS:
         raise BadParam(f"unknown netlist kind {kind!r}")
     p = params if params is not None else ComponentParams()
     inputs, parts = _TOPOLOGIES[kind]

@@ -28,6 +28,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+import numpy as np
+
 from ..errors import BadParam, NetlistError, finite, whole
 
 GROUND = "gnd"
@@ -86,7 +88,8 @@ class ComponentParams:
         for name in ("delay_samples", "glitch_width_samples"):
             object.__setattr__(self, name, whole(getattr(self, name), name, 0))
         for name, least in (("glitch_amplitude", 0), ("logic_high", None), ("logic_low", None)):
-            finite(getattr(self, name), name, least)
+            # a numpy scalar as the equal Python number, which the text form writes as a number
+            object.__setattr__(self, name, np.asarray(finite(getattr(self, name), name, least)).item())
         if not self.logic_high > self.logic_low:
             raise BadParam("logic_high must exceed logic_low")
 
@@ -117,6 +120,7 @@ class Component:
                 raise NetlistError(f"{name} is only valid on {kind}, not {self.kind}")
         if own == "cutoff_hz" and not (isinstance(self.cutoff_hz, numbers.Real) and self.cutoff_hz > 0):
             raise NetlistError("lowpass requires cutoff_hz > 0")
+        object.__setattr__(self, "cutoff_hz", np.asarray(self.cutoff_hz).item())  # as for the params
         if own == "signs":
             signs = _items((1, 1) if self.signs is None else self.signs, "summer signs")
             if len(signs) != 2 or not all(isinstance(s, numbers.Real) and s in (1, -1) for s in signs):

@@ -115,18 +115,15 @@ def cross_correlate(f: Signal, g: Signal, kind: str = "common", mode: str = "ful
         ShapeMismatch: dt differs between the signals.
         BadMode: valid mode with len(f) < len(g), or unknown mode.
     """
-    if kind not in CORR_KINDS:
+    if not isinstance(kind, str) or kind not in CORR_KINDS:
         raise BadParam(f"unknown correlation kind {kind!r}")
     if f.dt != g.dt:
         raise ShapeMismatch(f"dt mismatch: {f.dt} vs {g.dt}")
-    if mode == "full":
-        lag_lo, lag_hi = -(len(g) - 1), len(f) - 1
-    elif mode == "valid":
-        if len(f) < len(g):
-            raise BadMode(f"valid mode requires len(f) >= len(g), got {len(f)} < {len(g)}")
-        lag_lo, lag_hi = 0, len(f) - len(g)
-    else:
+    if not isinstance(mode, str) or mode not in CORR_MODES:
         raise BadMode(f"unknown mode {mode!r}")
+    if mode == "valid" and len(f) < len(g):
+        raise BadMode(f"valid mode requires len(f) >= len(g), got {len(f)} < {len(g)}")
+    lag_lo, lag_hi = (-(len(g) - 1), len(f) - 1) if mode == "full" else (0, len(f) - len(g))
     with np.errstate(all="ignore"):  # an overflowed value fails the result's finite check
         values = _kernels.xcorr(f.samples, g.samples, lag_lo, lag_hi, kind == "common") * f.dt
     return CorrelationResult(f.dt, np.arange(lag_lo, lag_hi + 1), values, mode)

@@ -11,6 +11,7 @@ threads.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,10 +21,12 @@ from .errors import BadParam, NonFiniteSample, NonPositiveDt, ShapeMismatch, fin
 
 
 def _real(value) -> float:
-    """float(value), or NaN if it is not a real number."""
-    try:  # numpy would drop the imaginary part of a complex value with only a warning
-        return np.nan if isinstance(value, (np.generic, np.ndarray)) and np.iscomplexobj(value) else float(value)
-    except (TypeError, ValueError, OverflowError):
+    """float(value) if it is a real number (a numbers.Real or a 0-d array of one), else NaN:
+    float() alone would read a string, and numpy a complex value's real part."""
+    value = value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
+    try:
+        return float(value) if isinstance(value, numbers.Real) else np.nan
+    except OverflowError:
         return np.nan
 
 

@@ -211,18 +211,51 @@ samples = st.one_of(
     st.floats(-1e3, 1e3),
     st.floats(allow_nan=False, allow_infinity=False),
 )
+# whole numbers, from both sides of the compiled kernel's int16 limit of ±32,767
+whole_samples = st.one_of(
+    st.sampled_from([0.0, -0.0, 32767.0, -32767.0, 32768.0, -32768.0]),
+    st.integers(-300, 300).map(float),
+)
 
 
-@settings(max_examples=300, deadline=None)
+def sample_lists(data, kinds=("any", "whole", "whole but one")):
+    """A list of any samples, of whole numbers, or of whole numbers but one fraction."""
+    kind = data.draw(st.sampled_from(kinds))
+    xs = data.draw(st.lists(samples if kind == "any" else whole_samples, min_size=1, max_size=70))
+    if kind == "whole but one":
+        xs[data.draw(st.integers(0, len(xs) - 1))] = data.draw(st.floats(-1e3, 1e3).filter(lambda v: v % 1))
+    return xs
+
+
+def lag_window(data, f, g):
+    """Windows that reach past the full range -(len(g)-1) .. len(f)-1 on both sides."""
+    lag_lo = data.draw(st.integers(-(len(g) - 1) - 17, len(f) + 8))
+    return lag_lo, data.draw(st.integers(lag_lo - 1, len(f) - 1 + 17))
+
+
+@settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_compiled_xcorr_is_the_sequential_sum(compiled, data):
-    f = data.draw(st.lists(samples, min_size=1, max_size=70))
-    g = data.draw(st.lists(samples, min_size=1, max_size=70))
-    # windows reach past the full range -(len(g)-1) .. len(f)-1 on both sides
-    lag_lo = data.draw(st.integers(-(len(g) - 1) - 17, len(f) + 8))
-    lag_hi = data.draw(st.integers(lag_lo - 1, len(f) - 1 + 17))
+    f, g = sample_lists(data), sample_lists(data)
+    lag_lo, lag_hi = lag_window(data, f, g)
     got = compiled.xcorr_common(np.array(f), np.array(g), lag_lo, lag_hi)
     assert np.array_equal(bits(got), bits(naive_xcorr(f, g, lag_lo, lag_hi, True)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_compiled_xcorr_of_whole_numbers_is_the_fallback(compiled, data):
+    f, g = sample_lists(data, ["whole"]), sample_lists(data, ["whole"])
+    lag_lo, lag_hi = lag_window(data, f, g)
+    got = compiled.xcorr_common(np.array(f), np.array(g), lag_lo, lag_hi)
+    assert np.array_equal(bits(got), bits(_fallback.xcorr_common(np.array(f), np.array(g), lag_lo, lag_hi)))
+
+
+@pytest.mark.parametrize("n, want", [(65_538, 2_147_483_646.0), (65_540, 2_147_549_180.0)])
+def test_compiled_xcorr_sums_beyond_int32_exactly(compiled, n, want):
+    # n * 32,767 is just below 2^31 - 1, and then past it, where an int32 sum would wrap
+    x = np.full(n, 32767.0)
+    assert compiled.xcorr_common(x, x, 0, 0)[0] == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -235,9 +268,11 @@ def test_compiled_lowpass_is_the_fallback(compiled, x, alpha):
 def test_concurrent_calls_agree(compiled):
     rng = np.random.default_rng(13)
     f, g = rng.standard_normal(3000), rng.standard_normal(2000)
+    fw, gw = np.rint(100 * f), np.rint(100 * g)  # whole numbers
     x, steps = rng.standard_normal((20, 2000)), rng.integers(0, 50, 20)
     calls = [
         lambda: compiled.xcorr_common(f, g, -1999, 2999),
+        lambda: compiled.xcorr_common(fw, gw, -1999, 2999),
         lambda: compiled.delayed_op("analog_switch", (x, x[:1], -x), steps, 0.0, 0.0),
     ]
     want = [bits(call()) for call in calls]
@@ -253,7 +288,7 @@ def test_concurrent_calls_agree(compiled):
     for t in threads:
         t.join(timeout=60)
         assert not t.is_alive()
-    assert results == [True] * 12
+    assert results == [True] * 18
 
 
 def test_compiled_rejects_arrays_it_cannot_read(compiled):

@@ -4,6 +4,7 @@ coordinates, the whole-number and float parameters, the sign series as a
 signal, the input rules of the Signal, SimTrace, CorrelationResult, DSL and
 netlist constructors, and the netlist text round trip."""
 
+import dataclasses
 import math
 import sys
 import warnings
@@ -20,6 +21,7 @@ from msetsig import (
     SignSeries,
     classic_functional,
     common_functional,
+    cross_correlate,
     errors,
     evaluate,
     gen,
@@ -106,12 +108,16 @@ def test_higher_tree_is_rejected(name):
         parse(TOO_HIGH[name])
 
 
-@given(st.floats(allow_nan=True, allow_infinity=True))
+@given(st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                 st.sampled_from(["0", "1.5", b"0", np.str_("2"), np.array("0"), bytearray(b"1")])))
 def test_grid_accepts_exactly_finite_t0(t0):
-    for make in (lambda: Signal(1.0, t0, [1.0, -1.0]), lambda: SignSeries(1.0, t0, [1.0, -1.0])):
-        if math.isfinite(t0):
-            s = make()
-            check_same_shape(s, s)
+    # a string is not a number, although float() would read one
+    for make in (lambda: Signal(1.0, t0, [1.0, -1.0]), lambda: SignSeries(1.0, t0, [1.0, -1.0]),
+                 lambda: Const(t0)):
+        if isinstance(t0, float) and math.isfinite(t0):
+            made = make()
+            if isinstance(made, Signal):
+                check_same_shape(made, made)
         else:
             with pytest.raises(errors.BadParam):
                 make()
@@ -147,6 +153,7 @@ anything = st.one_of(
     st.lists(st.floats(), max_size=4).map(np.array),
     st.lists(st.integers(-(2**63), 2**63 - 1), max_size=4).map(lambda xs: np.array(xs, dtype=np.int64)),
     st.lists(st.complex_numbers(), max_size=3).map(np.array),
+    st.one_of(st.text(max_size=3), st.lists(st.text(max_size=3), min_size=1, max_size=3)).map(np.array),
     st.lists(st.lists(st.floats(), min_size=2, max_size=2), max_size=2).map(np.array),
     st.dictionaries(st.sampled_from(["out", "x"]), st.lists(st.floats(), max_size=3), max_size=2),
 )
@@ -158,16 +165,21 @@ anything = st.one_of(
 @example(dt=1.0, t0=0.0, samples=[None, np.complex128(1j)], lags=[None, np.complex128(0j)], nodes=None)
 @example(dt=1.0, t0=0.0, samples=[1.0, 2.0], lags=[0, 1], nodes={"out": [1.0], "x": [1.0, 2.0]})
 @example(dt=1.0, t0=1 + 2j, samples=["out"], lags=[0], nodes={"x": [1.0]})
+@example(dt=1.0, t0=np.array(["full", "x"]), samples=[1.0], lags=[0], nodes=None)
+@example(dt=1.0, t0=np.array("sign"), samples=[1.0], lags=[0], nodes=None)
 def test_constructors_succeed_or_raise_an_mset_error(dt, t0, samples, lags, nodes):
-    # t0 also stands in for a mode, a DSL name or constant, an operator and a generator kind
-    f = Var("f")
+    # t0 also stands in for a mode, a correlation or netlist kind, a DSL name or constant,
+    # an operator and a generator kind
+    f, s = Var("f"), Signal(1.0, 0.0, [1.0, 2.0])
     for make in (lambda: Signal(dt, t0, samples), lambda: CorrelationResult(dt, lags, samples),
                  lambda: CorrelationResult(1.0, lags, samples, t0),
                  lambda: SimTrace(dt, t0, nodes, "out"), lambda: SimTrace(dt, t0, {"out": samples}, "out"),
                  lambda: SimTrace(1.0, 0.0, {"out": [1.0]}, samples),
                  lambda: Var(t0), lambda: Const(t0), lambda: Unary(t0, f), lambda: Binary(t0, f, f),
                  lambda: Call(t0, f), lambda: Environment({"f": samples}), lambda: Environment(samples),
-                 lambda: gen(t0, 1.0, 2), lambda: gen("sine", 1.0, 2, amplitude=t0, phase=samples)):
+                 lambda: gen(t0, 1.0, 2), lambda: gen("sine", 1.0, 2, amplitude=t0, phase=samples),
+                 lambda: cross_correlate(s, s, t0), lambda: cross_correlate(s, s, "common", t0),
+                 lambda: build_netlist(t0)):
         try:
             made = make()
         except errors.MsetError:
@@ -355,15 +367,21 @@ def test_netlist_constructors_succeed_or_raise_an_mset_error(params, kind, outpu
             pass
 
 
+def numpy_or_not(numbers):
+    """The numbers, as Python numbers or as the equal numpy scalars."""
+    return numbers.flatmap(lambda x: st.sampled_from([x, np.array(x)[()]]))
+
+
 @st.composite
 def netlists(draw):
     known, comps = ["x", "y", "gnd"], []
     for i in range(draw(st.integers(1, 5))):
         kind = draw(st.sampled_from(COMPONENT_KINDS))
         high = draw(st.one_of(st.integers(-5, 5), st.floats(-1e6 + 1, 1e6)))
-        params = ComponentParams(draw(st.integers(0, 4)), draw(st.floats(0.0, 10.0)), draw(st.integers(0, 4)),
-                                 high, draw(st.floats(-1e6, high, exclude_max=True)))
-        extra = {"lowpass": {"cutoff_hz": draw(st.floats(1e-6, 1e9))},
+        params = ComponentParams(draw(st.integers(0, 4)), draw(numpy_or_not(st.floats(0.0, 10.0))),
+                                 draw(st.integers(0, 4)), draw(numpy_or_not(st.just(high))),
+                                 draw(numpy_or_not(st.floats(-1e6, high, exclude_max=True))))
+        extra = {"lowpass": {"cutoff_hz": draw(numpy_or_not(st.floats(1e-6, 1e9)))},
                  "summer": {"signs": draw(st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1])))}}
         inputs = tuple(draw(st.sampled_from(known)) for _ in range(_KINDS[kind][0]))
         comps.append(Component(kind, f"n{i}", inputs, params, **extra.get(kind, {})))
@@ -373,5 +391,8 @@ def netlists(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(netlists())
+@example(dataclasses.replace(build_netlist("sign", ComponentParams(glitch_amplitude=np.float64(0.2),
+                                                                  logic_high=np.int64(5), logic_low=np.int64(0))),
+                             kind=None))  # the text form has no kind
 def test_parse_of_format_gives_the_netlist(net):
     assert parse_netlist(format_netlist(net)) == net

@@ -43,6 +43,8 @@ class TestConstruction:
         ("x", [1.0], errors.NonPositiveDt),
         (np.complex128(1 + 2j), [1.0], errors.NonPositiveDt),
         (1.0, [None], errors.NonFiniteSample),
+        ("1.0", [1.0], errors.NonPositiveDt),  # a string is not a number, although float() would read one
+        (b"1.0", [1.0], errors.NonPositiveDt),
     ])
     def test_bad_input_raises_its_error(self, dt, samples, error):
         with pytest.raises(errors.MsetError) as exc:
