@@ -2,7 +2,7 @@
  * filter and the simulator's elementwise behaviours on delayed inputs. Classic
  * correlation is np.correlate on every backend: it is faster than a loop in
  * sequential order. Hand-written against the CPython buffer protocol; the
- * only numpy use is numpy.empty for the result arrays. Inputs must be
+ * only numpy use is numpy.empty for a result without an out. Inputs must be
  * C-contiguous native float64 (delays: int64) buffers of the documented
  * dimensions; anything else raises TypeError or ValueError instead of being
  * read as raw memory. The loops run without the GIL and keep no state
@@ -243,12 +243,14 @@ static inline double apply(int op, double p, double q, double x, double y, doubl
 }
 
 PyDoc_STRVAR(delayed_op_doc,
-"delayed_op($module, op, ins, steps, p, q, /)\n--\n\n"
+"delayed_op($module, op, ins, steps, p, q, out=None, /)\n--\n\n"
 "Row r at sample t is op on its inputs at t - steps[r], which read 0.0 before the start:\n"
 "delay x, inverting_amp -x, comparator x >= y ? p : q, equivalence_gate (x >= 0) == (y >= 0)\n"
 "? p : q, analog_switch z >= (p + q) / 2 ? x : y, summer p*x + q*y. Each input is (rows, n)\n"
 "float64 of 1 or len(steps) rows and steps is nonnegative int64. The result has len(steps)\n"
-"rows, or one if every input has one row and every step is equal.");
+"rows, or one if every input has one row and every step is equal. It is written to out, and\n"
+"out returned, if out is given: a writable C-contiguous float64 array of the result's shape\n"
+"that overlaps no input.");
 
 /* The samples from t = d on; with a constant op, apply compiles to one loop per behaviour. */
 #define ROW_CASE(k) case k: for (; t < n; t++) o[t] = apply(k, p, q, in[0][t - d], in[1][t - d], in[2][t - d]); break;
@@ -256,13 +258,13 @@ PyDoc_STRVAR(delayed_op_doc,
 static PyObject *delayed_op(PyObject *Py_UNUSED(module), PyObject *args)
 {
     const char *name;
-    PyObject *ino, *so, *seq, *res = NULL;
+    PyObject *ino, *so, *seq, *outo = Py_None, *res = NULL;
     double p, q, lead;
     Py_buffer v[4], ov; /* the steps, then the inputs */
     Py_ssize_t held = 0, rows, r, i, n, t;
     const int64_t *steps;
     int op = 0, shared = 1, bad = 0;
-    if (!PyArg_ParseTuple(args, "sOOdd:delayed_op", &name, &ino, &so, &p, &q))
+    if (!PyArg_ParseTuple(args, "sOOdd|O:delayed_op", &name, &ino, &so, &p, &q, &outo))
         return NULL;
     if ((seq = PySequence_Fast(ino, "ins must be a sequence of arrays")) == NULL)
         return NULL;
@@ -290,7 +292,18 @@ static PyObject *delayed_op(PyObject *Py_UNUSED(module), PyObject *args)
     n = v[1].shape[1];
     rows = shared ? 1 : rows;
     lead = apply(op, p, q, 0.0, 0.0, 0.0); /* every sample before the delay */
-    if ((res = new_doubles(2, rows, n, &ov)) != NULL) {
+    if (outo == Py_None)
+        res = new_doubles(2, rows, n, &ov);
+    else if (get_array(outo, &ov, PyBUF_WRITABLE, 2, 0, "out") == 0) {
+        for (i = 0; i <= op_arity[op]; i++) /* no byte of out may be one that the call reads */
+            bad |= (char *)ov.buf < (char *)v[i].buf + v[i].len && (char *)v[i].buf < (char *)ov.buf + ov.len;
+        if (bad || ov.shape[0] != rows || ov.shape[1] != n) {
+            PyErr_SetString(PyExc_ValueError, "out must have the result's shape and overlap no input");
+            PyBuffer_Release(&ov);
+        } else
+            Py_INCREF(res = outo);
+    }
+    if (res != NULL) {
         Py_BEGIN_ALLOW_THREADS
         for (r = 0; r < rows; r++) {
             const double *in[3];

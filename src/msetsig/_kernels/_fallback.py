@@ -69,8 +69,6 @@ def _delayed(x: np.ndarray, steps: np.ndarray) -> np.ndarray:
     n = x.shape[1]
     if (steps == steps[0]).all():  # one slice moves every row; a shared row stays shared
         d = min(int(steps[0]), n)
-        if d == 0:
-            return x
         out = np.zeros_like(x)
         out[:, d:] = x[:, : n - d]
         return out
@@ -91,6 +89,14 @@ _OPS = {
 }
 
 
-def delayed_op(op: str, ins, steps: np.ndarray, p: float, q: float) -> np.ndarray:
+def delayed_op(op: str, ins, steps: np.ndarray, p: float, q: float, out=None) -> np.ndarray:
     """A simulator behaviour on delayed inputs, for a batch of rows; see the compiled twin."""
-    return np.asarray(_OPS[op](p, q, *(_delayed(x, steps) for x in ins)), dtype=np.float64)
+    res = np.asarray(_OPS[op](p, q, *(_delayed(x, steps) for x in ins)), dtype=np.float64)
+    if out is None:
+        return res
+    fits = isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == res.shape
+    if not (fits and out.flags.c_contiguous and out.flags.writeable) or any(
+            np.may_share_memory(out, x) for x in (steps, *ins)):
+        raise ValueError("out must be a writable C-contiguous float64 array of the result's shape and no input's")
+    np.copyto(out, res)
+    return out

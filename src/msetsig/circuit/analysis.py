@@ -18,7 +18,7 @@ from ..errors import BadParam, ShapeMismatch, finite, whole
 from ..ops import OPS
 from ..signal import Signal
 from .netlist import Netlist
-from .sim import SimTrace, _run
+from .sim import SimTrace, _run, _Workspace
 
 
 def math_reference(net: Netlist, inputs: Mapping[str, Signal]) -> Signal:
@@ -83,8 +83,8 @@ def switching_noise_rms(
     """
     own = [c.params for c in net.components]
     rows = _run(net, inputs, oversample, [[p.delay_samples for p in own]],
-                [[p.glitch_amplitude for p in own], [0.0] * len(own)])
-    out = np.concatenate([nodes[net.output] for _, nodes in rows])  # one row if no row differs
+                [[p.glitch_amplitude for p in own], [0.0] * len(own)], keep=(net.output,))
+    out = np.concatenate([nodes[net.output].copy() for _, nodes in rows])  # one row if no row differs
     return float(_error_rms(out[0], out[-1], "switching noise rms")[1])
 
 
@@ -114,11 +114,13 @@ def delay_sweep(
         for i in range(n_seeds)
     ])
     rows: List[Tuple[int, float]] = []
+    ws = _Workspace()  # every spread runs in the same node buffers
     for spread in spreads:
         with np.errstate(over="ignore"):
             delays = np.maximum(0, np.rint(base + directions * min(spread, sys.float_info.max)))
         total = 0.0
-        for count, nodes in _run(net, inputs, 1, delays, [[c.params.glitch_amplitude for c in net.components]]):
+        amps = [[c.params.glitch_amplitude for c in net.components]]
+        for count, nodes in _run(net, inputs, 1, delays, amps, keep=(net.output,), ws=ws):
             _, rms = _error_rms(nodes[net.output], ref.samples, "sweep rms error")  # one row if no row differs
             for value in np.broadcast_to(rms, count).tolist():
                 total += value

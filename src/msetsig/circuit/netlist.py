@@ -88,8 +88,11 @@ class ComponentParams:
         for name in ("delay_samples", "glitch_width_samples"):
             object.__setattr__(self, name, whole(getattr(self, name), name, 0))
         for name, least in (("glitch_amplitude", 0), ("logic_high", None), ("logic_low", None)):
-            # a numpy scalar as the equal Python number, which the text form writes as a number
-            object.__setattr__(self, name, np.asarray(finite(getattr(self, name), name, least)).item())
+            # a float, which the text form writes and reads back, or an int the float holds exactly,
+            # which it writes as one (high=5); a bool is 0.0 or 1.0
+            raw, value = getattr(self, name), finite(getattr(self, name), name, least)
+            exact = isinstance(raw, numbers.Integral) and not isinstance(raw, bool) and value == raw
+            object.__setattr__(self, name, int(raw) if exact else value)
         if not self.logic_high > self.logic_low:
             raise BadParam("logic_high must exceed logic_low")
 

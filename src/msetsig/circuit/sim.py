@@ -16,6 +16,10 @@ overlap add, sample by sample, in the order of their edges.
 An integer oversample factor refines the time step: inputs are sample-and-
 hold expanded, delays and glitch widths scale so their physical duration is
 unchanged, and the recorded trace is decimated back to the input grid.
+
+A call reuses its node buffers: every batch of rows writes into the buffers
+the call has already made, and a node's buffer is free again once its last
+reader has run, unless the caller keeps that node.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from .. import _kernels
 from ..errors import BadParam, MetadataMismatch, UnboundInput, finite, whole
-from ..signal import Signal, _real, _real_array, _sample_interval, check_same_shape
+from ..signal import Signal, _real_array, _sample_interval, check_same_shape
 from .netlist import GROUND, Component, Netlist
 
 
@@ -48,7 +52,7 @@ class SimTrace:
 
     def __post_init__(self):
         object.__setattr__(self, "dt", _sample_interval(self.dt))
-        object.__setattr__(self, "t0", finite(_real(self.t0), "t0"))
+        object.__setattr__(self, "t0", finite(self.t0, "t0"))
         if not isinstance(self.nodes, Mapping) or not self.nodes:
             raise BadParam("trace has no nodes")
         nodes = {name: _real_array(wave, f"waveform at node {name!r}") for name, wave in self.nodes.items()}
@@ -73,14 +77,32 @@ class SimTrace:
         return Signal(self.dt, self.t0, self.nodes[name])
 
 
-def _glitches(comp: Component, out: np.ndarray, ins, steps: np.ndarray, dt_sim: float, oversample: int, amps):
+class _Workspace:
+    """Free node buffers, each (batch rows, samples), that the batches of a call, or calls that share
+    it, reuse: take lends the first rows of one, new if none is free, until give returns it."""
+
+    def __init__(self):
+        self.free = []
+
+    def take(self, rows: int, shape) -> np.ndarray:
+        return (self.free.pop() if self.free else np.empty(shape))[:rows]
+
+    def give(self, view: np.ndarray):
+        self.free.append(view.base)
+
+
+def _glitches(comp: Component, out: np.ndarray, ins, steps: np.ndarray, dt_sim: float, oversample: int, amps, ws):
     p = comp.params
     width = p.glitch_width_samples * oversample
-    if np.any(amps != amps[0]):  # the rows' glitches differ
-        out = np.repeat(out, amps.size // out.shape[0], axis=0)
+    if out.shape[0] < amps.size and np.any(amps != amps[0]):  # the rows' glitches differ
+        wide = ws.take(amps.size, out.base.shape)
+        wide[:] = out
+        ws.give(out)
+        out = wide
+    mid = 0.5 * (p.logic_high + p.logic_low)
     for r in np.nonzero(amps[: out.shape[0]] > 0.0)[0]:
-        ctrl = _kernels.delayed_op("delay", [ins[2][r % len(ins[2])][None]], steps[r : r + 1], 0.0, 0.0)
-        row, s = out[r], ctrl[0] >= 0.5 * (p.logic_high + p.logic_low)
+        row, d = out[r], min(int(steps[r]), out.shape[1])  # the control input read d samples back
+        s = np.concatenate([np.full(d, 0.0 >= mid), ins[2][r % len(ins[2])][: row.size - d] >= mid])
         edges = np.nonzero(s[1:] != s[:-1])[0] + 1
         start = np.where(s[edges], amps[r], -amps[r])
         # Pulses add to each sample in ascending edge order: a whole pulse per edge
@@ -100,27 +122,30 @@ def _glitches(comp: Component, out: np.ndarray, ins, steps: np.ndarray, dt_sim: 
 
 def _lowpass(comp: Component, x: np.ndarray, ins, steps: np.ndarray, dt_sim: float, *_) -> np.ndarray:
     alpha = 1.0 - math.exp(-2.0 * math.pi * comp.cutoff_hz * dt_sim)
-    return np.stack([_kernels.lowpass(row, alpha) for row in x])
+    for row in x:
+        row[:] = _kernels.lowpass(row, alpha)
+    return x
 
 
-# kind -> (the delayed_op giving its rows, None or fn(comp, rows, ins, steps, dt_sim, oversample, amps)
-# finishing them from the input node rows, each row's input delay in simulation steps and its glitch
-# amplitude). Only these kinds can turn finite inputs into inf or NaN, so _run checks their nodes where
-# it makes them; any other kind is the delayed_op of its name and keeps a non-finite value where it was.
+# kind -> (the delayed_op giving its rows, None or fn(comp, rows, ins, steps, dt_sim, oversample, amps, ws)
+# finishing them in place or in ws from the input node rows, each row's input delay in simulation steps
+# and its glitch amplitude). Only these kinds can turn finite inputs into inf or NaN, so _run checks their
+# nodes where it makes them; any other kind is the delayed_op of its name and keeps a non-finite value.
 _BEHAVIOUR = {
     "analog_switch": ("analog_switch", _glitches),
-    "integrator": ("delay", lambda c, x, ins, steps, dt, *_: np.cumsum(x, axis=-1) * dt),
+    "integrator": ("delay", lambda c, x, ins, steps, dt, *_: np.multiply(np.cumsum(x, -1, out=x), dt, out=x)),
     "lowpass": ("delay", _lowpass),
     "summer": ("summer", None),
 }
 
 
-def _run(net: Netlist, inputs: Mapping[str, Signal], oversample: int, delays, amps):
+def _run(net: Netlist, inputs: Mapping[str, Signal], oversample: int, delays, amps, keep, ws=None):
     """Yield (rows, nodes) a batch of rows at a time: row r runs with component
     delays delays[r] in input samples (clamped to the record length, past which
-    only zero history is read) and glitch amplitudes amps[r]. nodes maps every
-    node but ground to a view of its samples on the input grid, (rows, n), or
-    (1, n) while no row changes it. A non-finite sample there raises BadParam."""
+    only zero history is read) and glitch amplitudes amps[r]. nodes maps each
+    node in keep to a view of its samples on the input grid, (rows, n), or (1, n)
+    while no row changes it, in a buffer of ws that the next batch reuses. A
+    non-finite sample at any node raises BadParam."""
     oversample = whole(oversample, "oversample", 1)
     for name in net.inputs:
         if name not in inputs:
@@ -138,19 +163,28 @@ def _run(net: Netlist, inputs: Mapping[str, Signal], oversample: int, delays, am
     steps = np.minimum(delays, len(first)).astype(np.int64) * oversample
     steps, amps = (np.ascontiguousarray(a.T) for a in np.broadcast_arrays(steps, np.asarray(amps, dtype=np.float64)))
     size = max(1, _BATCH_SAMPLES // (len(first) * oversample))
+    # each node that the caller does not keep is free after its last reader
+    last = {k: j for j, comp in enumerate(net.components) for k in comp.inputs if k not in sources and k not in keep}
+    shape, ws = (min(size, steps.shape[1]), len(first) * oversample), _Workspace() if ws is None else ws
+    ws.free = [buf for buf in ws.free if buf.shape == shape]
     for lo in range(0, steps.shape[1], size):
         batch, gains, values = steps[:, lo : lo + size], amps[:, lo : lo + size], dict(sources)
         with np.errstate(all="ignore"):  # an overflowed node fails its finite check
             for j, comp in enumerate(net.components):
                 (op, finish), ins = _BEHAVIOUR.get(comp.kind, (comp.kind, None)), [values[k] for k in comp.inputs]
                 levels = comp.signs or (comp.params.logic_high, comp.params.logic_low)
-                wave = _kernels.delayed_op(op, ins, batch[j], *levels)
+                rows = 1 if all(len(x) == 1 for x in ins) and (batch[j] == batch[j][0]).all() else batch.shape[1]
+                wave = _kernels.delayed_op(op, ins, batch[j], *levels, ws.take(rows, shape))
                 if finish:
-                    wave = finish(comp, wave, ins, batch[j], first.dt / oversample, oversample, gains[j])
+                    wave = finish(comp, wave, ins, batch[j], first.dt / oversample, oversample, gains[j], ws)
                 if comp.kind in _BEHAVIOUR:
                     finite(wave[:, ::oversample], f"waveform at node {comp.output!r}", array=True)
                 values[comp.output] = wave
-        yield batch.shape[1], {k: w[:, ::oversample] for k, w in values.items() if k != GROUND}
+                for k in {k for k in comp.inputs if last.get(k) == j}:
+                    ws.give(values.pop(k))
+        yield batch.shape[1], {k: values[k][:, ::oversample] for k in keep}
+        for k in values.keys() - sources.keys():  # every buffer is free for the next batch
+            ws.give(values[k])
 
 
 def simulate(net: Netlist, inputs: Mapping[str, Signal], oversample: int = 1) -> SimTrace:
@@ -161,7 +195,8 @@ def simulate(net: Netlist, inputs: Mapping[str, Signal], oversample: int = 1) ->
         MetadataMismatch: bound signals disagree in length, dt, or t0.
         BadParam: unknown binding name or bad oversample factor.
     """
-    own = [c.params for c in net.components]
-    rows = _run(net, inputs, oversample, [[p.delay_samples for p in own]], [[p.glitch_amplitude for p in own]])
+    own, everything = [c.params for c in net.components], [*net.inputs, *(c.output for c in net.components)]
+    rows = _run(net, inputs, oversample, [[p.delay_samples for p in own]], [[p.glitch_amplitude for p in own]],
+                everything)
     (_, nodes), first = next(rows), inputs[net.inputs[0]]
     return SimTrace(first.dt, first.t0, {name: wave[0] for name, wave in nodes.items()}, net.output)

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import ops
 from .errors import BadParam, DepthExceeded, ExprSyntaxError, UnboundVariable, finite
-from .signal import Signal, _real, check_same_shape
+from .signal import Signal, check_same_shape
 
 MAX_DEPTH = 256
 
@@ -86,7 +86,7 @@ class Const:
     value: float
 
     def __post_init__(self):
-        object.__setattr__(self, "value", finite(_real(self.value), "constant"))
+        object.__setattr__(self, "value", finite(self.value, "constant"))
 
 
 @dataclass(frozen=True)

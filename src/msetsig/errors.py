@@ -4,6 +4,8 @@ Every data-level failure raises a subclass of MsetError; the CLI maps these to
 exit code 2 and prints the class name, so the names are part of the contract.
 """
 
+import numbers
+
 import numpy as np
 
 
@@ -41,14 +43,26 @@ def whole(value, what: str, least: int | None = None) -> int:
     return n
 
 
+def real(value) -> float:
+    """float(value) if it is a real number (a numbers.Real, a numpy bool or a 0-d array of one)
+    in the float range, else NaN: float() alone would read a string, and numpy a complex value's
+    real part. This is the one rule for a real number that dt, t0 and every finite check share."""
+    value = value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
+    try:
+        return float(value) if isinstance(value, (numbers.Real, np.bool_)) else np.nan
+    except OverflowError:
+        return np.nan
+
+
 def finite(value, what: str, least: float | None = None, array: bool = False):
-    """``value``, if it is a finite real number no less than ``least`` or, if
-    ``array``, an ndarray of finite real numbers; anything else raises BadParam."""
-    try:  # the dtype kind (bool, int, unsigned, float) refuses strings, None, objects and complex values
-        arr = np.asarray(value)  # the array itself, if value is one
-        ok = arr.dtype.kind in "biuf" and (arr.ndim == 0 or array and arr is value) and np.all(np.isfinite(arr))
-    except ValueError:  # a ragged sequence
-        ok = False
+    """``value`` as a float, if it is a real number that is finite and no less than ``least``;
+    or, if ``array``, an ndarray of finite real numbers itself. Anything else raises BadParam."""
+    if array and isinstance(value, np.ndarray) and value.ndim:
+        # the dtype kind (bool, int, unsigned, float) refuses strings, None, objects and complex values
+        ok = value.dtype.kind in "biuf" and bool(np.all(np.isfinite(value)))
+    else:
+        value = real(value)
+        ok = np.isfinite(value)
     if not ok:
         raise BadParam(f"{what} must be finite")
     if least is not None and value < least:

@@ -11,27 +11,16 @@ threads.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import BadParam, NonFiniteSample, NonPositiveDt, ShapeMismatch, finite, whole
-
-
-def _real(value) -> float:
-    """float(value) if it is a real number (a numbers.Real or a 0-d array of one), else NaN:
-    float() alone would read a string, and numpy a complex value's real part."""
-    value = value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
-    try:
-        return float(value) if isinstance(value, numbers.Real) else np.nan
-    except OverflowError:
-        return np.nan
+from .errors import BadParam, NonFiniteSample, NonPositiveDt, ShapeMismatch, finite, real, whole
 
 
 def _sample_interval(dt) -> float:
-    value = _real(dt)
+    value = real(dt)
     if not (value > 0.0 and np.isfinite(value)):
         raise NonPositiveDt(f"dt must be positive and finite, got {dt!r}")
     return value
@@ -73,7 +62,7 @@ class Signal:
     samples: np.ndarray
 
     def __post_init__(self):
-        dt, t0 = _sample_interval(self.dt), finite(_real(self.t0), "t0")
+        dt, t0 = _sample_interval(self.dt), finite(self.t0, "t0")
         arr = _real_array(self.samples, "samples")
         self._check_values(arr)
         object.__setattr__(self, "dt", dt)
@@ -199,22 +188,22 @@ def gen(
         raise BadParam(f"unknown generator kind {kind!r}; expected one of {', '.join(GEN_KINDS)}")
     n = whole(n, "n", 1)
     dt = _sample_interval(dt)
+    args = dict(dt=dt, seed=seed)
     for name, value, least in (("amplitude", amplitude, 0), ("frequency", frequency, 0), ("phase", phase, None),
                                ("t0", t0, None), ("center", center, None), ("width", width, None)):
-        if value is not None or name not in ("center", "width"):  # None gives their defaults
-            finite(value, name, least)
+        none = value is None and name in ("center", "width")  # None gives their defaults
+        args[name] = None if none else finite(value, name, least)
 
     inputs, shape = _WAVEFORMS[kind]
     with np.errstate(all="ignore"):
         try:
-            t = t0 + dt * np.arange(n)
+            t = args["t0"] + dt * np.arange(n)
         except (ValueError, MemoryError):  # numpy cannot size or allocate n elements
             t = None
         if t is None or t.size != n:  # near 2**63, arange sizes n elements as none
             raise BadParam(f"n={n} is too many samples")
-        args = dict(dt=dt, t0=t0, frequency=frequency, phase=phase, center=center, width=width, seed=seed)
-        samples = amplitude * shape(*inputs(t, **args))
-    return Signal(dt, t0, finite(samples, f"{kind} samples", array=True))
+        samples = args["amplitude"] * shape(*inputs(t, **args))
+    return Signal(dt, args["t0"], finite(samples, f"{kind} samples", array=True))
 
 
 def shift(f: Signal, k: int) -> Signal:

@@ -192,7 +192,7 @@ def bits(a):
 def assert_signatures(impl):
     assert list(inspect.signature(impl.xcorr_common).parameters) == ["f", "g", "lag_lo", "lag_hi"]
     assert list(inspect.signature(impl.lowpass).parameters) == ["x", "alpha"]
-    assert list(inspect.signature(impl.delayed_op).parameters) == ["op", "ins", "steps", "p", "q"]
+    assert list(inspect.signature(impl.delayed_op).parameters) == ["op", "ins", "steps", "p", "q", "out"]
 
 
 @pytest.mark.parametrize("impl", [_fallback, _kernels], ids=["fallback", "selected"])
@@ -350,3 +350,37 @@ def test_compiled_delayed_op_is_the_fallback(compiled, data):
     shared = all(len(x) == 1 for x in ins) and (steps == steps[0]).all()
     assert got.shape == want.shape == (1 if shared else rows, n)
     assert np.array_equal(bits(got), bits(want))
+    for impl in (compiled, _fallback):  # into a buffer of leftover bits, which every sample overwrites
+        out = np.full(want.shape, 0x7FF4DEADBEEF0000, dtype=np.uint64).view(np.float64)
+        with np.errstate(all="ignore"):
+            assert impl.delayed_op(op, ins, steps, p, q, out) is out
+        assert np.array_equal(bits(out), bits(want))
+
+
+def test_delayed_op_rejects_an_out_it_cannot_fill(compiled):
+    buf, mem = np.arange(12.0), np.zeros(4, dtype=np.int64)
+    x, y, steps = buf[:8].reshape(2, 4), np.ones((2, 4)), mem[:2]
+    read_only = np.zeros((2, 4))
+    read_only.setflags(write=False)
+    bad = [
+        ("delay", (x,), np.zeros((1, 4))),  # the result has two rows
+        ("delay", (x,), np.zeros((2, 5))),
+        ("delay", (x,), np.zeros(8)),
+        ("delay", (x,), np.zeros((2, 4), dtype=np.float32)),
+        ("delay", (x,), np.zeros((2, 4), dtype=">f8")),
+        ("delay", (x,), np.zeros((2, 4), dtype=np.int64)),
+        ("delay", (x,), [[0.0] * 4] * 2),
+        ("delay", (x,), read_only),
+        ("delay", (x,), np.zeros((2, 8))[:, ::2]),  # not contiguous
+        ("delay", (x,), np.zeros((4, 2)).T),
+        ("delay", (x,), x),
+        ("delay", (x,), buf[4:].reshape(2, 4)),  # half of it is x
+        ("comparator", (x, y), y),
+        ("delay", (x[:, :2].copy(),), mem.view(np.float64).reshape(2, 2)),  # the steps
+    ]
+    for impl in (compiled, _fallback):
+        for op, ins, out in bad:
+            with pytest.raises((TypeError, ValueError)):
+                impl.delayed_op(op, ins, steps, 1.0, -1.0, out)
+        assert np.array_equal(buf, np.arange(12.0)) and np.array_equal(y, np.ones((2, 4)))
+        assert not mem.any()

@@ -1,5 +1,6 @@
 """Netlist validation, builders, and the text serialization round trip."""
 
+import numpy as np
 import pytest
 
 from msetsig import errors
@@ -224,6 +225,17 @@ class TestSerialization:
         assert "high=5.0 low=0.0" in text
         back = parse_netlist(text)
         assert back.components == net.components
+
+    @pytest.mark.parametrize("high, low, text", [
+        (5, 0, "high=5 low=0"),  # an int level is written as one
+        (np.int64(5), np.int64(0), "high=5 low=0"),
+        (True, False, "high=1.0 low=0.0"),  # a bool level is a float
+        (10**30, 0, "high=1e+30 low=0"),  # an int past float precision is the float nearest it
+    ])
+    def test_levels_are_written_as_numbers_that_read_back(self, high, low, text):
+        net = build_netlist("sign", ComponentParams(logic_high=high, logic_low=low))
+        assert f" {text}\n" in format_netlist(net)
+        assert parse_netlist(format_netlist(net)).components == net.components
 
     def test_comments_and_blanks_ignored(self):
         text = "# a circuit\n\ninput f\n  inverting_amp out f delay=0\n\noutput out\n"

@@ -8,6 +8,8 @@ import dataclasses
 import math
 import sys
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -130,6 +132,36 @@ def _raised(make):
     except errors.MsetError as exc:
         return type(exc)
     return None
+
+
+# real numbers of every kind, near and past the float range, and values that are not real numbers
+real_likes = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.fractions(), st.decimals(),
+    st.integers(-(10**400), 10**400), st.complex_numbers(), st.text(max_size=2),
+    st.sampled_from([np.True_, np.float32(0.1), np.int64(-3), np.uint8(7), np.array(2.5), np.array(1j),
+                     np.complex128(1.0), 10**308 * 10, Fraction(10**400, 3)]),
+    st.floats().map(np.float64),
+)
+
+
+@given(value=real_likes)
+@example(value=Fraction(1, 2))
+@example(value=10**30)
+@example(value=True)
+@example(value=np.True_)
+@example(value=10**400)
+def test_signal_and_gen_read_one_kind_of_real_number(value):
+    # a real number, as float() reads it, is a finite t0, an amplitude if >= 0 and a dt if > 0
+    t0 = _raised(lambda: Signal(1.0, value, [1.0]))
+    amplitude = _raised(lambda: gen("sine", 1.0, 2, amplitude=value))
+    dt = _raised(lambda: Signal(value, 0.0, [1.0]))
+    if t0 is not None:
+        assert t0 is amplitude is errors.BadParam and dt is errors.NonPositiveDt
+    else:
+        assert amplitude is (None if value >= 0 else errors.BadParam)
+        assert dt is (None if value > 0 else errors.NonPositiveDt)
+        made = [Signal(1.0, value, [1.0]).t0, gen("white_noise", 1.0, 1, t0=value, seed=0).t0]
+        assert made == [float(value)] * 2 and all(type(t) is float for t in made)
 
 
 @given(dt=st.floats(), t0=st.floats())
@@ -395,4 +427,21 @@ def netlists(draw):
                                                                   logic_high=np.int64(5), logic_low=np.int64(0))),
                              kind=None))  # the text form has no kind
 def test_parse_of_format_gives_the_netlist(net):
+    assert parse_netlist(format_netlist(net)) == net
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=st.fixed_dictionaries({}, optional={
+    "delay_samples": st.one_of(st.integers(0, 3), st.sampled_from([2.0, np.int64(1)])),
+    "glitch_width_samples": st.one_of(st.integers(0, 3), st.sampled_from([2.0, np.int64(1)])),
+    **{name: real_likes for name in ("glitch_amplitude", "logic_high", "logic_low")}}))
+@example(params={"logic_high": True, "logic_low": False})
+@example(params={"logic_high": 5, "logic_low": np.int64(0), "glitch_amplitude": Fraction(1, 3)})
+@example(params={"logic_high": 10**30})
+def test_every_component_params_round_trips_through_the_text_form(params):
+    try:
+        own = ComponentParams(**params)
+    except errors.BadParam:
+        return
+    net = Netlist(("f",), (Component("comparator", "out", ("f", "gnd"), own),), "out")
     assert parse_netlist(format_netlist(net)) == net

@@ -517,8 +517,8 @@ class TestBatchedRows:
         noise = switching_noise_rms(net, inputs, 2)
         runs = []
 
-        def counted(*args):
-            for count, nodes in sim._run(*args):
+        def counted(*args, **kwargs):
+            for count, nodes in sim._run(*args, **kwargs):
                 runs.append(count)
                 yield count, nodes
 
@@ -528,6 +528,27 @@ class TestBatchedRows:
         assert runs == [2, 2, 2, 1] * 6
         assert repr(switching_noise_rms(net, inputs, 2)) == repr(noise)
         assert runs[24:] == [1, 1]
+
+    def test_a_sweep_makes_one_buffer_per_live_node(self, rng, monkeypatch):
+        net = build_netlist("common_product", ComponentParams(delay_samples=1, glitch_amplitude=0.2))
+        last = {name: j for j, comp in enumerate(net.components) for name in comp.inputs}
+        live, peak = set(), 0  # nodes made and still to be read, or the output
+        for j, comp in enumerate(net.components):
+            live.add(comp.output)
+            peak = max(peak, len(live))
+            live -= {name for name in comp.inputs if last[name] == j}
+        buffers, calls, real = set(), [], _kernels.delayed_op
+
+        def spy(op, ins, steps, p, q, out=None):
+            buffers.add(id(out.base))
+            calls.append(len(steps))
+            return real(op, ins, steps, p, q, out)
+
+        monkeypatch.setattr(_kernels, "delayed_op", spy)
+        delay_sweep(net, bind(net, rng, n=50), range(6), n_seeds=7)
+        assert calls == [7] * (len(net.components) * 6)
+        assert peak < len(net.components)
+        assert 1 < len(buffers) <= peak
 
     @pytest.mark.parametrize("kind", ["intersection", "union", "absolute", "signify", "common_product"])
     def test_overflowing_error_raises_bad_param(self, kind):
