@@ -11,9 +11,11 @@
  * Build with -ffp-contract=off and without -ffast-math: every double sum
  * below is meant to round exactly as the sequential order written here, which
  * a fused multiply-add or a reassociation would change. Common correlation of
- * whole numbers runs on int16 copies instead, where every sum is exact, so the
- * compiler may vectorise it in any order and the result is still bitwise the
- * sequential double loop's.
+ * whole numbers runs on int16 copies instead, magnitudes and +-1 signs in
+ * separate arrays, each term min(|a|,|b|) * (sa*sb) summed in int32. Every
+ * such sum is exact, so the compiler may vectorise it in any order (with plain
+ * SSE2, pminsw and pmaddwd) and the result is still bitwise the sequential
+ * double loop's.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -92,23 +94,28 @@ static double whole_max(const double *x, Py_ssize_t n)
     return top;
 }
 
-/* xcorr_common_loop on whole numbers of magnitude <= 32767, copied to w (nf + ng int16): each
- * lag is summed over its own overlap in an int32 that the caller's bound keeps from
- * overflowing. Every partial sum is an integer below 2^53, so the double loop's sums are
- * exact too and equal these, and a zero sum is +0.0 on both. */
+/* xcorr_common_loop on whole numbers of magnitude <= 32767, split into w (2 * (nf + ng) int16):
+ * the magnitudes of f and g, then their +-1 signs (a zero's sign never counts: its min is 0).
+ * Each lag sums min(|a|,|b|) * (sa*sb) over its own overlap in an int32. No term exceeds the
+ * smaller of the two largest magnitudes, so the caller's bound keeps every partial sum, in any
+ * order, from overflowing. The double loop's sums are exact too and equal these (each partial
+ * sum is an integer below 2^53), and a zero sum is +0.0 on both. */
 static void xcorr_whole_loop(const double *f, Py_ssize_t nf, const double *g, Py_ssize_t ng, int16_t *w,
                              Py_ssize_t lag_lo, Py_ssize_t nlag, double *out)
 {
-    const int16_t *fw = w, *gw = w + nf;
-    for (Py_ssize_t i = 0; i < nf + ng; i++)
-        w[i] = (int16_t)(i < nf ? f[i] : g[i - nf]);
+    const Py_ssize_t n = nf + ng;
+    const int16_t *fm = w, *gm = w + nf, *fs = w + n, *gs = w + n + nf;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        double x = i < nf ? f[i] : g[i - nf];
+        w[i] = (int16_t)fabs(x);
+        w[n + i] = x < 0.0 ? -1 : 1;
+    }
     for (Py_ssize_t idx = 0; idx < nlag; idx++) {
         Py_ssize_t k = lag_lo + idx, lo = k > 0 ? k : 0, hi = k + ng < nf ? k + ng : nf;
         int32_t acc = 0;
         for (Py_ssize_t i = lo; i < hi; i++) {
-            int16_t a = fw[i], b = gw[i - k], s = (a ^ b) >> 15; /* -1 where the signs differ, else 0 */
-            int16_t fa = a < 0 ? -a : a, fb = b < 0 ? -b : b, m = fa < fb ? fa : fb;
-            acc += (int16_t)((m ^ s) - s);
+            int16_t a = fm[i], b = gm[i - k], m = a < b ? a : b;
+            acc += (int32_t)m * (int16_t)(fs[i] * gs[i - k]);
         }
         out[idx] = acc;
     }
@@ -147,8 +154,10 @@ PyDoc_STRVAR(xcorr_common_doc,
 "applies the dt scale. Each lag is summed in ascending i, so for finite\n"
 "inputs the result is bitwise that of the plain sequential loop. When every\n"
 "sample is a whole number of magnitude <= 32767 and min(len(f), len(g)) *\n"
-"min(max|f|, max|g|) <= 2**31 - 1, the sums run in int32, which are exact\n"
-"and give those same bits.");
+"min(max|f|, max|g|) <= 2**31 - 1, the sums run in int32 over int16\n"
+"magnitudes and +-1 signs held in separate arrays. No term exceeds the\n"
+"smaller maximum, so no partial sum overflows in any order; the sums are\n"
+"exact and give those same bits.");
 
 static PyObject *xcorr_common(PyObject *Py_UNUSED(module), PyObject *args)
 {
@@ -173,7 +182,7 @@ static PyObject *xcorr_common(PyObject *Py_UNUSED(module), PyObject *args)
     /* whole numbers whose partial sums, each at most min(nf, ng) terms, fit an int32 */
     double fmax = whole_max(f, nf), gmax = fmax < 0.0 ? -1.0 : whole_max(g, ng);
     int whole = gmax >= 0.0 && (double)(nf < ng ? nf : ng) * (fmax < gmax ? fmax : gmax) <= INT32_MAX;
-    void *work = whole ? PyMem_Malloc(((size_t)nf + (size_t)ng) * sizeof(int16_t))
+    void *work = whole ? PyMem_Malloc(2 * ((size_t)nf + (size_t)ng) * sizeof(int16_t))
                        : PyMem_Calloc((size_t)ng + 2 * (BLOCK - 1), sizeof(double));
     res = work == NULL ? PyErr_NoMemory() : new_doubles(1, 1, nlag, &ov);
     if (res != NULL) {

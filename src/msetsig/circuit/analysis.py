@@ -45,7 +45,9 @@ def compare_to_math(trace: SimTrace, reference: Signal) -> Dict[str, object]:
         raise ShapeMismatch(
             f"trace length {out.size} vs reference length {len(reference)}"
         )
-    err, rms = _error_rms(out, reference.samples, "rms error")
+    rms = _error_rms(out, reference.samples, "rms error")
+    with np.errstate(over="ignore"):
+        err = out - reference.samples
     return {
         "rms_error": float(rms),
         "max_error": finite(float(np.max(np.abs(err))), "max error"),
@@ -53,11 +55,12 @@ def compare_to_math(trace: SimTrace, reference: Signal) -> Dict[str, object]:
     }
 
 
-def _error_rms(out: np.ndarray, reference: np.ndarray, what: str):
-    """out - reference, and its rms along the last axis: BadParam ``what`` unless finite."""
+def _error_rms(out: np.ndarray, reference: np.ndarray, what: str, work=None):
+    """The rms of out - reference along the last axis: BadParam ``what`` unless finite. The
+    squared differences are formed in work, a float64 array of out's shape, if given."""
     with np.errstate(over="ignore"):
-        err = out - reference
-        return err, finite(np.sqrt(np.mean(err * err, axis=-1)), what, array=True)
+        sq = np.subtract(out, reference, out=work)
+        return finite(np.sqrt(np.mean(np.multiply(sq, sq, out=sq), axis=-1)), what, array=True)
 
 
 def quiet_copy(net: Netlist) -> Netlist:
@@ -85,7 +88,7 @@ def switching_noise_rms(
     rows = _run(net, inputs, oversample, [[p.delay_samples for p in own]],
                 [[p.glitch_amplitude for p in own], [0.0] * len(own)], keep=(net.output,))
     out = np.concatenate([nodes[net.output].copy() for _, nodes in rows])  # one row if no row differs
-    return float(_error_rms(out[0], out[-1], "switching noise rms")[1])
+    return float(_error_rms(out[0], out[-1], "switching noise rms"))
 
 
 def delay_sweep(
@@ -115,13 +118,17 @@ def delay_sweep(
     ])
     rows: List[Tuple[int, float]] = []
     ws = _Workspace()  # every spread runs in the same node buffers
+    work = np.empty((0, len(ref)))  # and squares its errors in one buffer of the largest batch
     for spread in spreads:
         with np.errstate(over="ignore"):
             delays = np.maximum(0, np.rint(base + directions * min(spread, sys.float_info.max)))
         total = 0.0
         amps = [[c.params.glitch_amplitude for c in net.components]]
         for count, nodes in _run(net, inputs, 1, delays, amps, keep=(net.output,), ws=ws):
-            _, rms = _error_rms(nodes[net.output], ref.samples, "sweep rms error")  # one row if no row differs
+            out = nodes[net.output]  # one row if no row differs
+            if len(work) < len(out):
+                work = np.empty(out.shape)
+            rms = _error_rms(out, ref.samples, "sweep rms error", work[: len(out)])
             for value in np.broadcast_to(rms, count).tolist():
                 total += value
         rows.append((spread, total / n_seeds))

@@ -28,9 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-import numpy as np
-
-from ..errors import BadParam, NetlistError, finite, whole
+from ..errors import BadParam, NetlistError, finite, real, whole
 
 GROUND = "gnd"
 
@@ -55,6 +53,13 @@ def _check_name(name, what: str) -> None:
         raise NetlistError(f"bad {what} name {name!r}")
     if name == GROUND and what != "node":
         raise NetlistError(f"{GROUND!r} is reserved")
+
+
+def _as_written(raw, value: float):
+    """value, the float of the real number raw, as the text form writes and reads it back: an int
+    that the float holds exactly stays one, which it writes as one (high=5); a bool is 0.0 or 1.0."""
+    exact = isinstance(raw, numbers.Integral) and not isinstance(raw, bool) and value == raw
+    return int(raw) if exact else value
 
 
 def _items(value, what: str) -> tuple:
@@ -88,11 +93,8 @@ class ComponentParams:
         for name in ("delay_samples", "glitch_width_samples"):
             object.__setattr__(self, name, whole(getattr(self, name), name, 0))
         for name, least in (("glitch_amplitude", 0), ("logic_high", None), ("logic_low", None)):
-            # a float, which the text form writes and reads back, or an int the float holds exactly,
-            # which it writes as one (high=5); a bool is 0.0 or 1.0
-            raw, value = getattr(self, name), finite(getattr(self, name), name, least)
-            exact = isinstance(raw, numbers.Integral) and not isinstance(raw, bool) and value == raw
-            object.__setattr__(self, name, int(raw) if exact else value)
+            raw = getattr(self, name)
+            object.__setattr__(self, name, _as_written(raw, finite(raw, name, least)))
         if not self.logic_high > self.logic_low:
             raise BadParam("logic_high must exceed logic_low")
 
@@ -121,9 +123,11 @@ class Component:
         for kind, (_, name) in _KINDS.items():
             if name and kind != self.kind and getattr(self, name) is not None:
                 raise NetlistError(f"{name} is only valid on {kind}, not {self.kind}")
-        if own == "cutoff_hz" and not (isinstance(self.cutoff_hz, numbers.Real) and self.cutoff_hz > 0):
-            raise NetlistError("lowpass requires cutoff_hz > 0")
-        object.__setattr__(self, "cutoff_hz", np.asarray(self.cutoff_hz).item())  # as for the params
+        if own == "cutoff_hz":
+            value = real(self.cutoff_hz)
+            if not value > 0:
+                raise NetlistError("lowpass requires a real cutoff_hz > 0")
+            object.__setattr__(self, "cutoff_hz", _as_written(self.cutoff_hz, value))
         if own == "signs":
             signs = _items((1, 1) if self.signs is None else self.signs, "summer signs")
             if len(signs) != 2 or not all(isinstance(s, numbers.Real) and s in (1, -1) for s in signs):

@@ -6,6 +6,7 @@ and its build flags are covered whether or not ``setup.py build_ext
 --inplace`` has been run.
 """
 
+import ast
 import glob
 import importlib.util
 import inspect
@@ -154,6 +155,17 @@ def test_backend_name_reported():
     assert msetsig.kernel_backend in ("compiled", "python")
 
 
+def test_setup_py_compiles_exact_and_portable():
+    # every bitwise claim needs unfused, unreassociated double sums, and a portable build
+    # takes no -march, -mtune or -m<isa> flag
+    with open(os.path.join(REPO, "setup.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    [args] = [ast.literal_eval(node.value) for node in ast.walk(tree)
+              if isinstance(node, ast.keyword) and node.arg == "extra_compile_args"]
+    assert "-O3" in args and "-ffp-contract=off" in args
+    assert not [a for a in args if a.startswith("-m") or a in ("-ffast-math", "-Ofast")], args
+
+
 @pytest.fixture(scope="module")
 def fresh_core(tmp_path_factory):
     """_core.c built now by setup.py (its own flags plus -Wall -Wextra -Werror),
@@ -249,6 +261,33 @@ def test_compiled_xcorr_of_whole_numbers_is_the_fallback(compiled, data):
     lag_lo, lag_hi = lag_window(data, f, g)
     got = compiled.xcorr_common(np.array(f), np.array(g), lag_lo, lag_hi)
     assert np.array_equal(bits(got), bits(_fallback.xcorr_common(np.array(f), np.array(g), lag_lo, lag_hi)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(nf=st.integers(1, 600), ng=st.integers(1, 600), top=st.sampled_from([1, 127, 32767]),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_compiled_xcorr_of_long_whole_records_is_the_sequential_sum(compiled, nf, ng, top, seed, data):
+    # records long enough for many vector iterations and a remainder, with zeros of both signs,
+    # in both argument orders: lag k of (f, g) is lag -k of (g, f), the same terms in the same order
+    rng = np.random.default_rng(seed)
+    f, g = (rng.integers(-top, top + 1, n).astype(np.float64) for n in (nf, ng))
+    for x in (f, g):
+        x[rng.random(x.size) < 0.05] = -0.0
+    lag_lo = data.draw(st.integers(-(ng - 1) - 3, nf + 2))
+    lag_hi = data.draw(st.integers(lag_lo - 1, min(lag_lo + 40, nf + 2)))
+    want = bits(naive_xcorr(f.tolist(), g.tolist(), lag_lo, lag_hi, True))
+    assert np.array_equal(bits(compiled.xcorr_common(f, g, lag_lo, lag_hi)), want)
+    assert np.array_equal(bits(compiled.xcorr_common(g, f, -lag_hi, -lag_lo)[::-1]), want)
+
+
+@pytest.mark.parametrize("nf, ng", [(65_538, 65_538), (65_538, 65_600), (65_539, 65_539)])
+def test_compiled_xcorr_of_full_scale_signs_is_the_sequential_sum(compiled, nf, ng):
+    # +-32,767 only, where min(nf, ng) * 32,767 is just below 2^31 - 1 (the int32 sums) or just past it
+    rng = np.random.default_rng(nf + ng)
+    f, g = (rng.choice([-32767.0, 32767.0], n) for n in (nf, ng))
+    want = bits(naive_xcorr(f.tolist(), g.tolist(), -2, 2, True))
+    assert np.array_equal(bits(compiled.xcorr_common(f, g, -2, 2)), want)
+    assert np.array_equal(bits(compiled.xcorr_common(g, f, -2, 2)[::-1]), want)
 
 
 @pytest.mark.parametrize("n, want", [(65_538, 2_147_483_646.0), (65_540, 2_147_549_180.0)])

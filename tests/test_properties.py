@@ -434,14 +434,21 @@ def test_parse_of_format_gives_the_netlist(net):
 @given(params=st.fixed_dictionaries({}, optional={
     "delay_samples": st.one_of(st.integers(0, 3), st.sampled_from([2.0, np.int64(1)])),
     "glitch_width_samples": st.one_of(st.integers(0, 3), st.sampled_from([2.0, np.int64(1)])),
-    **{name: real_likes for name in ("glitch_amplitude", "logic_high", "logic_low")}}))
-@example(params={"logic_high": True, "logic_low": False})
-@example(params={"logic_high": 5, "logic_low": np.int64(0), "glitch_amplitude": Fraction(1, 3)})
-@example(params={"logic_high": 10**30})
-def test_every_component_params_round_trips_through_the_text_form(params):
+    **{name: real_likes for name in ("glitch_amplitude", "logic_high", "logic_low")}}), cutoff=real_likes)
+@example(params={"logic_high": True, "logic_low": False}, cutoff=True)
+@example(params={"logic_high": 5, "logic_low": np.int64(0), "glitch_amplitude": Fraction(1, 3)}, cutoff=Fraction(1, 2))
+@example(params={"logic_high": 10**30}, cutoff=10**30)
+@example(params={}, cutoff=10**400)
+def test_every_component_params_round_trips_through_the_text_form(params, cutoff):
+    # and every low-pass cutoff that constructs
     try:
         own = ComponentParams(**params)
     except errors.BadParam:
-        return
-    net = Netlist(("f",), (Component("comparator", "out", ("f", "gnd"), own),), "out")
+        own = ComponentParams()
+    comps = [Component("comparator", "out", ("f", "gnd"), own)]
+    try:
+        comps.append(Component("lowpass", "lp", ("out",), own, cutoff_hz=cutoff))
+    except errors.NetlistError:
+        pass
+    net = Netlist(("f",), comps, "out")
     assert parse_netlist(format_netlist(net)) == net
