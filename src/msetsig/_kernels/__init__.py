@@ -4,8 +4,9 @@ The compiled C module (_core.c, built by setup.py) is used when present;
 otherwise the numpy fallback is. BACKEND names the one selected: "compiled"
 or "python". Both backends take the same arguments; low-pass and delayed_op
 results are identical, and common correlation sums agree up to
-summation-order rounding. delayed_op fills and returns its optional out, a
-writable C-contiguous float64 array of the result's shape that overlaps no
+summation-order rounding. lowpass filters every row of a writable (rows, n)
+float64 array in place and returns it. delayed_op fills and returns its out,
+a writable C-contiguous float64 array of len(steps) rows that overlaps no
 input; any other out is TypeError or ValueError. On whole-number samples
 the compiled common sums run in int32 where they cannot overflow; such sums
 are exact on every path, so both backends then agree bitwise. Classic

@@ -2,11 +2,11 @@
  * filter and the simulator's elementwise behaviours on delayed inputs. Classic
  * correlation is np.correlate on every backend: it is faster than a loop in
  * sequential order. Hand-written against the CPython buffer protocol; the
- * only numpy use is numpy.empty for a result without an out. Inputs must be
- * C-contiguous native float64 (delays: int64) buffers of the documented
- * dimensions; anything else raises TypeError or ValueError instead of being
- * read as raw memory. The loops run without the GIL and keep no state
- * between calls.
+ * only numpy use is numpy.empty for xcorr_common's result, since lowpass and
+ * delayed_op write into arrays the caller passes. Inputs must be C-contiguous
+ * native float64 (delays: int64) buffers of the documented dimensions;
+ * anything else raises TypeError or ValueError instead of being read as raw
+ * memory. The loops run without the GIL and keep no state between calls.
  *
  * Build with -ffp-contract=off and without -ffast-math: every double sum
  * below is meant to round exactly as the sequential order written here, which
@@ -135,12 +135,11 @@ static int get_array(PyObject *obj, Py_buffer *view, int flags, int ndim, int in
     return 0;
 }
 
-/* A new float64 ndarray of shape (n,) or (rows, n), exposed writable through out. */
-static PyObject *new_doubles(int ndim, Py_ssize_t rows, Py_ssize_t n, Py_buffer *out)
+/* A new float64 ndarray of shape (n,), exposed writable through out. */
+static PyObject *new_doubles(Py_ssize_t n, Py_buffer *out)
 {
-    PyObject *arr = ndim == 1 ? PyObject_CallFunction(np_empty, "n", n)
-                              : PyObject_CallFunction(np_empty, "((nn))", rows, n);
-    if (arr != NULL && get_array(arr, out, PyBUF_WRITABLE, ndim, 0, "result") < 0)
+    PyObject *arr = PyObject_CallFunction(np_empty, "n", n);
+    if (arr != NULL && get_array(arr, out, PyBUF_WRITABLE, 1, 0, "result") < 0)
         Py_CLEAR(arr);
     return arr;
 }
@@ -184,7 +183,7 @@ static PyObject *xcorr_common(PyObject *Py_UNUSED(module), PyObject *args)
     int whole = gmax >= 0.0 && (double)(nf < ng ? nf : ng) * (fmax < gmax ? fmax : gmax) <= INT32_MAX;
     void *work = whole ? PyMem_Malloc(2 * ((size_t)nf + (size_t)ng) * sizeof(int16_t))
                        : PyMem_Calloc((size_t)ng + 2 * (BLOCK - 1), sizeof(double));
-    res = work == NULL ? PyErr_NoMemory() : new_doubles(1, 1, nlag, &ov);
+    res = work == NULL ? PyErr_NoMemory() : new_doubles(nlag, &ov);
     if (res != NULL) {
         double *gr = work;
         for (Py_ssize_t m = 0; !whole && m < ng; m++)
@@ -205,32 +204,31 @@ static PyObject *xcorr_common(PyObject *Py_UNUSED(module), PyObject *args)
 
 PyDoc_STRVAR(lowpass_doc,
 "lowpass($module, x, alpha, /)\n--\n\n"
-"Single-pole IIR: y[n] = y[n-1] + alpha * (x[n] - y[n-1]), y[-1] = 0.");
+"Single-pole IIR along each row of x, a writable C-contiguous (rows, n) float64\n"
+"array, in place: y[n] = y[n-1] + alpha * (x[n] - y[n-1]), y[-1] = 0. Returns x.");
 
 static PyObject *lowpass(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    PyObject *xo, *res;
+    PyObject *xo;
     double alpha;
-    Py_buffer xv, ov;
+    Py_buffer xv;
     if (!PyArg_ParseTuple(args, "Od:lowpass", &xo, &alpha))
         return NULL;
-    if (get_array(xo, &xv, PyBUF_SIMPLE, 1, 0, "x") < 0)
+    if (get_array(xo, &xv, PyBUF_WRITABLE, 2, 0, "x") < 0)
         return NULL;
-    Py_ssize_t n = xv.shape[0];
-    res = new_doubles(1, 1, n, &ov);
-    if (res != NULL) {
-        const double *x = xv.buf;
-        double *out = ov.buf, y = 0.0;
-        Py_BEGIN_ALLOW_THREADS
+    Py_ssize_t rows = xv.shape[0], n = xv.shape[1];
+    Py_BEGIN_ALLOW_THREADS
+    for (Py_ssize_t r = 0; r < rows; r++) {
+        double *x = (double *)xv.buf + r * n, y = 0.0;
         for (Py_ssize_t i = 0; i < n; i++) {
             y += alpha * (x[i] - y);
-            out[i] = y;
+            x[i] = y;
         }
-        Py_END_ALLOW_THREADS
-        PyBuffer_Release(&ov);
     }
+    Py_END_ALLOW_THREADS
     PyBuffer_Release(&xv);
-    return res;
+    Py_INCREF(xo);
+    return xo;
 }
 
 /* The simulator's elementwise ops by code; an unknown name's arity -1 matches no input count. */
@@ -252,28 +250,50 @@ static inline double apply(int op, double p, double q, double x, double y, doubl
 }
 
 PyDoc_STRVAR(delayed_op_doc,
-"delayed_op($module, op, ins, steps, p, q, out=None, /)\n--\n\n"
+"delayed_op($module, op, ins, steps, p, q, out, /)\n--\n\n"
 "Row r at sample t is op on its inputs at t - steps[r], which read 0.0 before the start:\n"
 "delay x, inverting_amp -x, comparator x >= y ? p : q, equivalence_gate (x >= 0) == (y >= 0)\n"
-"? p : q, analog_switch z >= (p + q) / 2 ? x : y, summer p*x + q*y. Each input is (rows, n)\n"
-"float64 of 1 or len(steps) rows and steps is nonnegative int64. The result has len(steps)\n"
-"rows, or one if every input has one row and every step is equal. It is written to out, and\n"
-"out returned, if out is given: a writable C-contiguous float64 array of the result's shape\n"
-"that overlaps no input.");
+"? p : q, analog_switch z >= (p + q) / 2 ? x : y, summer p*x + q*y. steps is nonempty and\n"
+"nonnegative int64, each input (rows, n) float64 of 1 or len(steps) rows, and the result,\n"
+"len(steps) rows, is written to out and out returned: a writable C-contiguous float64 array\n"
+"of that shape that overlaps no input.");
 
 /* The samples from t = d on; with a constant op, apply compiles to one loop per behaviour. */
 #define ROW_CASE(k) case k: for (; t < n; t++) o[t] = apply(k, p, q, in[0][t - d], in[1][t - d], in[2][t - d]); break;
 
+/* Every row of delayed_op, from v: the steps, then the inputs. Out of line on purpose: inlined
+ * into delayed_op, the row loop's state spills from registers and a row takes 1.7-1.9x as long. */
+static Py_NO_INLINE void delayed_rows(int op, double p, double q, const Py_buffer *v, double *out)
+{
+    const int64_t *steps = v[0].buf;
+    const Py_ssize_t rows = v[0].shape[0], n = v[1].shape[1];
+    const double lead = apply(op, p, q, 0.0, 0.0, 0.0); /* every sample before the delay */
+    for (Py_ssize_t r = 0; r < rows; r++) {
+        const double *in[3];
+        for (int i = 0; i < 3; i++) { /* an op's unused inputs read its first */
+            const Py_buffer *b = &v[i < op_arity[op] ? i + 1 : 1];
+            in[i] = (const double *)b->buf + (b->shape[0] == 1 ? 0 : r * n);
+        }
+        double *restrict o = out + r * n;
+        const Py_ssize_t d = steps[r] < n ? (Py_ssize_t)steps[r] : n;
+        Py_ssize_t t;
+        for (t = 0; t < d; t++)
+            o[t] = lead;
+        switch (op) { ROW_CASE(OP_DELAY) ROW_CASE(OP_INVERT) ROW_CASE(OP_COMPARATOR)
+                      ROW_CASE(OP_EQUIVALENCE) ROW_CASE(OP_SWITCH) ROW_CASE(OP_SUMMER) }
+    }
+}
+
 static PyObject *delayed_op(PyObject *Py_UNUSED(module), PyObject *args)
 {
     const char *name;
-    PyObject *ino, *so, *seq, *outo = Py_None, *res = NULL;
-    double p, q, lead;
+    PyObject *ino, *so, *seq, *outo, *res = NULL;
+    double p, q;
     Py_buffer v[4], ov; /* the steps, then the inputs */
-    Py_ssize_t held = 0, rows, r, i, n, t;
+    Py_ssize_t held = 0, rows, r, i;
     const int64_t *steps;
-    int op = 0, shared = 1, bad = 0;
-    if (!PyArg_ParseTuple(args, "sOOdd|O:delayed_op", &name, &ino, &so, &p, &q, &outo))
+    int op = 0, bad = 0;
+    if (!PyArg_ParseTuple(args, "sOOddO:delayed_op", &name, &ino, &so, &p, &q, &outo))
         return NULL;
     if ((seq = PySequence_Fast(ino, "ins must be a sequence of arrays")) == NULL)
         return NULL;
@@ -288,48 +308,27 @@ static PyObject *delayed_op(PyObject *Py_UNUSED(module), PyObject *args)
         if (get_array(obj, &v[held], PyBUF_SIMPLE, held == 0 ? 1 : 2, held == 0, held ? "each input" : "steps") < 0)
             goto done;
     }
-    for (steps = v[0].buf, rows = v[0].shape[0], r = 0; r < rows && steps[r] >= 0; r++)
-        shared &= steps[r] == steps[0];
-    for (i = 1; i <= op_arity[op]; i++) {
+    for (steps = v[0].buf, rows = v[0].shape[0], r = 0; r < rows; r++)
+        bad |= steps[r] < 0;
+    for (i = 1; i <= op_arity[op]; i++)
         bad |= (v[i].shape[0] != 1 && v[i].shape[0] != rows) || v[i].shape[1] != v[1].shape[1];
-        shared &= v[i].shape[0] == 1;
-    }
-    if (rows == 0 || r < rows || bad) {
+    if (rows == 0 || bad) {
         PyErr_SetString(PyExc_ValueError, "need nonempty steps >= 0, inputs of one length and 1 or len(steps) rows");
         goto done;
     }
-    n = v[1].shape[1];
-    rows = shared ? 1 : rows;
-    lead = apply(op, p, q, 0.0, 0.0, 0.0); /* every sample before the delay */
-    if (outo == Py_None)
-        res = new_doubles(2, rows, n, &ov);
-    else if (get_array(outo, &ov, PyBUF_WRITABLE, 2, 0, "out") == 0) {
-        for (i = 0; i <= op_arity[op]; i++) /* no byte of out may be one that the call reads */
-            bad |= (char *)ov.buf < (char *)v[i].buf + v[i].len && (char *)v[i].buf < (char *)ov.buf + ov.len;
-        if (bad || ov.shape[0] != rows || ov.shape[1] != n) {
-            PyErr_SetString(PyExc_ValueError, "out must have the result's shape and overlap no input");
-            PyBuffer_Release(&ov);
-        } else
-            Py_INCREF(res = outo);
-    }
-    if (res != NULL) {
+    if (get_array(outo, &ov, PyBUF_WRITABLE, 2, 0, "out") < 0)
+        goto done;
+    for (i = 0; i <= op_arity[op]; i++) /* no byte of out may be one that the call reads */
+        bad |= (char *)ov.buf < (char *)v[i].buf + v[i].len && (char *)v[i].buf < (char *)ov.buf + ov.len;
+    if (bad || ov.shape[0] != rows || ov.shape[1] != v[1].shape[1])
+        PyErr_SetString(PyExc_ValueError, "out must have the result's shape and overlap no input");
+    else {
         Py_BEGIN_ALLOW_THREADS
-        for (r = 0; r < rows; r++) {
-            const double *in[3];
-            for (i = 0; i < 3; i++) { /* an op's unused inputs read its first */
-                const Py_buffer *b = &v[i < op_arity[op] ? i + 1 : 1];
-                in[i] = (const double *)b->buf + (b->shape[0] == 1 ? 0 : r * n);
-            }
-            double *restrict o = (double *)ov.buf + r * n;
-            const Py_ssize_t d = steps[r] < n ? (Py_ssize_t)steps[r] : n;
-            for (t = 0; t < d; t++)
-                o[t] = lead;
-            switch (op) { ROW_CASE(OP_DELAY) ROW_CASE(OP_INVERT) ROW_CASE(OP_COMPARATOR)
-                          ROW_CASE(OP_EQUIVALENCE) ROW_CASE(OP_SWITCH) ROW_CASE(OP_SUMMER) }
-        }
+        delayed_rows(op, p, q, v, ov.buf);
         Py_END_ALLOW_THREADS
-        PyBuffer_Release(&ov);
+        Py_INCREF(res = outo);
     }
+    PyBuffer_Release(&ov);
 done:
     while (held > 0)
         PyBuffer_Release(&v[--held]);

@@ -2,8 +2,9 @@
 every backend uses.
 
 ``xcorr_common``, ``lowpass`` and ``delayed_op`` take their compiled twins'
-arguments; low-pass and delayed-op results are identical, and common sums
-agree up to summation-order rounding (np.sum chooses its own order).
+arguments: ``lowpass`` filters its rows in place and ``delayed_op`` fills the
+caller's ``out``. Low-pass and delayed-op results are identical, and common
+sums agree up to summation-order rounding (np.sum chooses its own order).
 """
 
 import numpy as np
@@ -55,23 +56,20 @@ def xcorr_classic(f: np.ndarray, g: np.ndarray, lag_lo: int, lag_hi: int) -> np.
 
 
 def lowpass(x: np.ndarray, alpha: float) -> np.ndarray:
-    """Single-pole IIR: y[n] = y[n-1] + alpha * (x[n] - y[n-1]), y[-1] = 0."""
-    out = np.empty(x.size, dtype=np.float64)
-    y = 0.0
-    for i, v in enumerate(x):
-        y += alpha * (v - y)
-        out[i] = y
-    return out
+    """Single-pole IIR along each row of x, (rows, n) float64, in place:
+    y[n] = y[n-1] + alpha * (x[n] - y[n-1]), y[-1] = 0. Returns x."""
+    for row in x:
+        y, ys = 0.0, []
+        for v in row.tolist():
+            y += alpha * (v - y)
+            ys.append(y)
+        row[:] = ys
+    return x
 
 
 def _delayed(x: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """Row r of x read steps[r] samples back, zero before the start."""
+    """Row r of x (1 or len(steps) rows) read steps[r] samples back, zero before the start."""
     n = x.shape[1]
-    if (steps == steps[0]).all():  # one slice moves every row; a shared row stays shared
-        d = min(int(steps[0]), n)
-        out = np.zeros_like(x)
-        out[:, d:] = x[:, : n - d]
-        return out
     out = np.zeros((steps.size, n))
     for r, d in enumerate(np.minimum(steps, n).tolist()):
         out[r, d:] = x[r % x.shape[0], : n - d]
@@ -89,11 +87,9 @@ _OPS = {
 }
 
 
-def delayed_op(op: str, ins, steps: np.ndarray, p: float, q: float, out=None) -> np.ndarray:
-    """A simulator behaviour on delayed inputs, for a batch of rows; see the compiled twin."""
-    res = np.asarray(_OPS[op](p, q, *(_delayed(x, steps) for x in ins)), dtype=np.float64)
-    if out is None:
-        return res
+def delayed_op(op: str, ins, steps: np.ndarray, p: float, q: float, out: np.ndarray) -> np.ndarray:
+    """A simulator behaviour on delayed inputs, for a batch of rows, into out; see the compiled twin."""
+    res = _OPS[op](p, q, *(_delayed(x, steps) for x in ins))
     fits = isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == res.shape
     if not (fits and out.flags.c_contiguous and out.flags.writeable) or any(
             np.may_share_memory(out, x) for x in (steps, *ins)):

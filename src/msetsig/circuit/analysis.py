@@ -14,11 +14,11 @@ from typing import Dict, Iterable, List, Mapping, Tuple
 
 import numpy as np
 
-from ..errors import BadParam, ShapeMismatch, finite, whole
+from ..errors import BadParam, ShapeMismatch, finite, named, whole
 from ..ops import OPS
 from ..signal import Signal
 from .netlist import Netlist
-from .sim import SimTrace, _run, _Workspace
+from .sim import SimTrace, _run
 
 
 def math_reference(net: Netlist, inputs: Mapping[str, Signal]) -> Signal:
@@ -29,7 +29,7 @@ def math_reference(net: Netlist, inputs: Mapping[str, Signal]) -> Signal:
     """
     if net.kind is None:
         raise BadParam("netlist carries no operation tag; pass an explicit reference")
-    if not isinstance(net.kind, str) or net.kind not in OPS:
+    if not named(net.kind, OPS):
         raise BadParam(f"no reference for netlist kind {net.kind!r}")
     return OPS[net.kind][1](*(inputs[name] for name in net.inputs))
 
@@ -117,14 +117,14 @@ def delay_sweep(
         for i in range(n_seeds)
     ])
     rows: List[Tuple[int, float]] = []
-    ws = _Workspace()  # every spread runs in the same node buffers
+    free = []  # every spread runs in the same node buffers
     work = np.empty((0, len(ref)))  # and squares its errors in one buffer of the largest batch
     for spread in spreads:
         with np.errstate(over="ignore"):
             delays = np.maximum(0, np.rint(base + directions * min(spread, sys.float_info.max)))
         total = 0.0
         amps = [[c.params.glitch_amplitude for c in net.components]]
-        for count, nodes in _run(net, inputs, 1, delays, amps, keep=(net.output,), ws=ws):
+        for count, nodes in _run(net, inputs, 1, delays, amps, keep=(net.output,), free=free):
             out = nodes[net.output]  # one row if no row differs
             if len(work) < len(out):
                 work = np.empty(out.shape)

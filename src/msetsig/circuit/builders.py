@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-from ..errors import BadParam
+from ..errors import BadParam, named
 from .netlist import GROUND, Component, ComponentParams, Netlist
 
 # Operation -> (input nodes, components as (type, output, *inputs)). Every
@@ -110,7 +110,7 @@ def build_netlist(kind: str, params: Optional[ComponentParams] = None) -> Netlis
     With nonzero delay_samples the netlist is delay-balanced; the aligned
     output then lags the ideal result by a fixed whole number of samples.
     """
-    if not isinstance(kind, str) or kind not in NETLIST_KINDS:
+    if not named(kind, NETLIST_KINDS):
         raise BadParam(f"unknown netlist kind {kind!r}")
     p = params if params is not None else ComponentParams()
     inputs, parts = _TOPOLOGIES[kind]

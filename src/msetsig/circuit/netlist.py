@@ -23,12 +23,11 @@ Low-pass components carry an extra ``fc=<float>`` token, summers carry
 from __future__ import annotations
 
 import numbers
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from ..errors import BadParam, NetlistError, finite, real, whole
+from ..errors import IDENTIFIER, BadParam, NetlistError, finite, named, real, whole
 
 GROUND = "gnd"
 
@@ -45,11 +44,9 @@ _KINDS = {
 }
 COMPONENT_KINDS = tuple(_KINDS)
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
 
 def _check_name(name, what: str) -> None:
-    if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
+    if not named(name, IDENTIFIER):
         raise NetlistError(f"bad {what} name {name!r}")
     if name == GROUND and what != "node":
         raise NetlistError(f"{GROUND!r} is reserved")
@@ -109,7 +106,7 @@ class Component:
     signs: Optional[Tuple[int, int]] = None
 
     def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in _KINDS:
+        if not named(self.kind, _KINDS):
             raise NetlistError(f"unknown component type {self.kind!r}")
         want, own = _KINDS[self.kind]
         _check_name(self.output, "output")
@@ -165,7 +162,7 @@ class Netlist:
             if comp.output in known:
                 raise NetlistError(f"node {comp.output!r} is driven twice")
             known.add(comp.output)
-        if not isinstance(self.output, str) or self.output not in known:
+        if not named(self.output, known):
             raise NetlistError(f"output node {self.output!r} is not driven")
 
     def census(self) -> dict:

@@ -19,7 +19,8 @@ unchanged, and the recorded trace is decimated back to the input grid.
 
 A call reuses its node buffers: every batch of rows writes into the buffers
 the call has already made, and a node's buffer is free again once its last
-reader has run, unless the caller keeps that node.
+reader has run, unless the caller keeps that node. _run alone decides how many
+rows a node has; each kernel then fills exactly that many rows of its buffer.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Mapping
 import numpy as np
 
 from .. import _kernels
-from ..errors import BadParam, MetadataMismatch, UnboundInput, finite, whole
+from ..errors import BadParam, MetadataMismatch, UnboundInput, finite, named, whole
 from ..signal import Signal, _real_array, _sample_interval, check_same_shape
 from .netlist import GROUND, Component, Netlist
 
@@ -60,7 +61,7 @@ class SimTrace:
             raise BadParam("trace waveforms differ in length")
         for name, wave in nodes.items():
             finite(wave, f"waveform at node {name!r}", array=True)
-        if not isinstance(self.output, str) or self.output not in nodes:
+        if not named(self.output, nodes):
             raise BadParam(f"output node {self.output!r} not recorded")
         object.__setattr__(self, "nodes", MappingProxyType(nodes))
 
@@ -77,30 +78,11 @@ class SimTrace:
         return Signal(self.dt, self.t0, self.nodes[name])
 
 
-class _Workspace:
-    """Free node buffers, each (batch rows, samples), that the batches of a call, or calls that share
-    it, reuse: take lends the first rows of one, new if none is free, until give returns it."""
-
-    def __init__(self):
-        self.free = []
-
-    def take(self, rows: int, shape) -> np.ndarray:
-        return (self.free.pop() if self.free else np.empty(shape))[:rows]
-
-    def give(self, view: np.ndarray):
-        self.free.append(view.base)
-
-
-def _glitches(comp: Component, out: np.ndarray, ins, steps: np.ndarray, dt_sim: float, oversample: int, amps, ws):
+def _glitches(comp: Component, out: np.ndarray, ins, steps: np.ndarray, dt_sim: float, oversample: int, amps):
     p = comp.params
     width = p.glitch_width_samples * oversample
-    if out.shape[0] < amps.size and np.any(amps != amps[0]):  # the rows' glitches differ
-        wide = ws.take(amps.size, out.base.shape)
-        wide[:] = out
-        ws.give(out)
-        out = wide
     mid = 0.5 * (p.logic_high + p.logic_low)
-    for r in np.nonzero(amps[: out.shape[0]] > 0.0)[0]:
+    for r in np.nonzero(amps > 0.0)[0]:
         row, d = out[r], min(int(steps[r]), out.shape[1])  # the control input read d samples back
         s = np.concatenate([np.full(d, 0.0 >= mid), ins[2][r % len(ins[2])][: row.size - d] >= mid])
         edges = np.nonzero(s[1:] != s[:-1])[0] + 1
@@ -117,20 +99,16 @@ def _glitches(comp: Component, out: np.ndarray, ins, steps: np.ndarray, dt_sim: 
             for j in range(reach - 1, -1, -1):
                 hit = np.searchsorted(edges, row.size - j)
                 row[edges[:hit] + j] += pulse[j] * start[:hit]
-    return out
 
 
-def _lowpass(comp: Component, x: np.ndarray, ins, steps: np.ndarray, dt_sim: float, *_) -> np.ndarray:
-    alpha = 1.0 - math.exp(-2.0 * math.pi * comp.cutoff_hz * dt_sim)
-    for row in x:
-        row[:] = _kernels.lowpass(row, alpha)
-    return x
+def _lowpass(comp: Component, x: np.ndarray, ins, steps: np.ndarray, dt_sim: float, *_):
+    _kernels.lowpass(x, 1.0 - math.exp(-2.0 * math.pi * comp.cutoff_hz * dt_sim))
 
 
-# kind -> (the delayed_op giving its rows, None or fn(comp, rows, ins, steps, dt_sim, oversample, amps, ws)
-# finishing them in place or in ws from the input node rows, each row's input delay in simulation steps
-# and its glitch amplitude). Only these kinds can turn finite inputs into inf or NaN, so _run checks their
-# nodes where it makes them; any other kind is the delayed_op of its name and keeps a non-finite value.
+# kind -> (the delayed_op giving its rows, None or fn(comp, rows, ins, steps, dt_sim, oversample, amps)
+# finishing them in place from the input node rows, each row's input delay in simulation steps and its
+# glitch amplitude). Only these kinds can turn finite inputs into inf or NaN, so _run checks their nodes
+# where it makes them; any other kind is the delayed_op of its name and keeps a non-finite value.
 _BEHAVIOUR = {
     "analog_switch": ("analog_switch", _glitches),
     "integrator": ("delay", lambda c, x, ins, steps, dt, *_: np.multiply(np.cumsum(x, -1, out=x), dt, out=x)),
@@ -139,12 +117,14 @@ _BEHAVIOUR = {
 }
 
 
-def _run(net: Netlist, inputs: Mapping[str, Signal], oversample: int, delays, amps, keep, ws=None):
+def _run(net: Netlist, inputs: Mapping[str, Signal], oversample: int, delays, amps, keep, free=None):
     """Yield (rows, nodes) a batch of rows at a time: row r runs with component
     delays delays[r] in input samples (clamped to the record length, past which
     only zero history is read) and glitch amplitudes amps[r]. nodes maps each
     node in keep to a view of its samples on the input grid, (rows, n), or (1, n)
-    while no row changes it, in a buffer of ws that the next batch reuses. A
+    if its inputs have one row and its delays (a switch's glitch amplitudes too)
+    are equal across the batch. Node buffers come from, and go back to, the list
+    free, which the next batch and any later call given the same list reuse. A
     non-finite sample at any node raises BadParam."""
     oversample = whole(oversample, "oversample", 1)
     for name in net.inputs:
@@ -165,26 +145,28 @@ def _run(net: Netlist, inputs: Mapping[str, Signal], oversample: int, delays, am
     size = max(1, _BATCH_SAMPLES // (len(first) * oversample))
     # each node that the caller does not keep is free after its last reader
     last = {k: j for j, comp in enumerate(net.components) for k in comp.inputs if k not in sources and k not in keep}
-    shape, ws = (min(size, steps.shape[1]), len(first) * oversample), _Workspace() if ws is None else ws
-    ws.free = [buf for buf in ws.free if buf.shape == shape]
+    shape, free = (min(size, steps.shape[1]), len(first) * oversample), [] if free is None else free
+    free[:] = [buf for buf in free if buf.shape == shape]
     for lo in range(0, steps.shape[1], size):
         batch, gains, values = steps[:, lo : lo + size], amps[:, lo : lo + size], dict(sources)
         with np.errstate(all="ignore"):  # an overflowed node fails its finite check
             for j, comp in enumerate(net.components):
                 (op, finish), ins = _BEHAVIOUR.get(comp.kind, (comp.kind, None)), [values[k] for k in comp.inputs]
                 levels = comp.signs or (comp.params.logic_high, comp.params.logic_low)
-                rows = 1 if all(len(x) == 1 for x in ins) and (batch[j] == batch[j][0]).all() else batch.shape[1]
-                wave = _kernels.delayed_op(op, ins, batch[j], *levels, ws.take(rows, shape))
+                varying = (batch[j], gains[j]) if comp.kind == "analog_switch" else (batch[j],)
+                one = all(len(x) == 1 for x in ins) and all((v == v[0]).all() for v in varying)
+                rows = 1 if one else batch.shape[1]
+                wave = (free.pop() if free else np.empty(shape))[:rows]
+                _kernels.delayed_op(op, ins, batch[j][:rows], *levels, wave)
                 if finish:
-                    wave = finish(comp, wave, ins, batch[j], first.dt / oversample, oversample, gains[j], ws)
+                    finish(comp, wave, ins, batch[j][:rows], first.dt / oversample, oversample, gains[j][:rows])
                 if comp.kind in _BEHAVIOUR:
                     finite(wave[:, ::oversample], f"waveform at node {comp.output!r}", array=True)
                 values[comp.output] = wave
                 for k in {k for k in comp.inputs if last.get(k) == j}:
-                    ws.give(values.pop(k))
+                    free.append(values.pop(k).base)
         yield batch.shape[1], {k: values[k][:, ::oversample] for k in keep}
-        for k in values.keys() - sources.keys():  # every buffer is free for the next batch
-            ws.give(values[k])
+        free.extend(values[k].base for k in values.keys() - sources.keys())  # free for the next batch
 
 
 def simulate(net: Netlist, inputs: Mapping[str, Signal], oversample: int = 1) -> SimTrace:

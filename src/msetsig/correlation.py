@@ -21,7 +21,7 @@ from typing import Tuple
 import numpy as np
 
 from . import _kernels
-from .errors import BadMode, BadParam, DegenerateDenominator, FlatResult, ShapeMismatch, finite
+from .errors import BadMode, BadParam, DegenerateDenominator, FlatResult, ShapeMismatch, finite, named
 from .ops import common_product
 from .signal import Signal, _real_array, _sample_interval, check_same_shape
 
@@ -49,7 +49,7 @@ class CorrelationResult:
         if int(lags[-1]) - int(lags[0]) != lags.size - 1 or not np.all(np.diff(lags) == 1):  # int64 diffs wrap
             raise BadParam("lags must be contiguous and strictly increasing")
         finite(values, "correlation values", array=True)
-        if not isinstance(self.mode, str) or self.mode not in CORR_MODES:
+        if not named(self.mode, CORR_MODES):
             raise BadParam(f"unknown mode {self.mode!r}")
         object.__setattr__(self, "dt", _sample_interval(self.dt))
         object.__setattr__(self, "lags", lags)
@@ -115,11 +115,11 @@ def cross_correlate(f: Signal, g: Signal, kind: str = "common", mode: str = "ful
         ShapeMismatch: dt differs between the signals.
         BadMode: valid mode with len(f) < len(g), or unknown mode.
     """
-    if not isinstance(kind, str) or kind not in CORR_KINDS:
+    if not named(kind, CORR_KINDS):
         raise BadParam(f"unknown correlation kind {kind!r}")
     if f.dt != g.dt:
         raise ShapeMismatch(f"dt mismatch: {f.dt} vs {g.dt}")
-    if not isinstance(mode, str) or mode not in CORR_MODES:
+    if not named(mode, CORR_MODES):
         raise BadMode(f"unknown mode {mode!r}")
     if mode == "valid" and len(f) < len(g):
         raise BadMode(f"valid mode requires len(f) >= len(g), got {len(f)} < {len(g)}")

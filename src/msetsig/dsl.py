@@ -35,7 +35,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from . import ops
-from .errors import BadParam, DepthExceeded, ExprSyntaxError, UnboundVariable, finite
+from .errors import IDENTIFIER, BadParam, DepthExceeded, ExprSyntaxError, UnboundVariable, finite, named
 from .signal import Signal, check_same_shape
 
 MAX_DEPTH = 256
@@ -77,7 +77,7 @@ class Var:
     name: str
 
     def __post_init__(self):
-        if not isinstance(self.name, str) or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", self.name):
+        if not named(self.name, IDENTIFIER):
             raise BadParam(f"bad variable name {self.name!r}")
 
 
@@ -95,7 +95,7 @@ class Unary:
     child: "Expr"
 
     def __post_init__(self):
-        if not isinstance(self.op, str) or self.op not in UNARY_OPS:
+        if not named(self.op, UNARY_OPS):
             raise BadParam(f"bad unary op {self.op!r}")
 
 
@@ -106,7 +106,7 @@ class Binary:
     right: "Expr"
 
     def __post_init__(self):
-        if not isinstance(self.op, str) or self.op not in BINARY_OPS:
+        if not named(self.op, BINARY_OPS):
             raise BadParam(f"bad binary op {self.op!r}")
 
 
@@ -116,7 +116,7 @@ class Call:
     child: "Expr"
 
     def __post_init__(self):
-        if not isinstance(self.fn, str) or self.fn not in CALL_NAMES:
+        if not named(self.fn, CALL_NAMES):
             raise BadParam(f"bad function {self.fn!r}")
 
 

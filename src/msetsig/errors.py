@@ -5,6 +5,7 @@ exit code 2 and prints the class name, so the names are part of the contract.
 """
 
 import numbers
+import re
 
 import numpy as np
 
@@ -68,6 +69,18 @@ def finite(value, what: str, least: float | None = None, array: bool = False):
     if least is not None and value < least:
         raise BadParam(f"{what} must be >= {least}, got {value!r}")
     return value
+
+
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def named(name, table) -> bool:
+    """Whether ``name`` is a string in ``table`` or, if ``table`` is a compiled pattern, a string
+    that it matches whole. This is the one rule for a name looked up in a table: any other value,
+    an unhashable or array-valued one too, names nothing, so each caller raises its own error."""
+    if not isinstance(name, str):
+        return False
+    return table.fullmatch(name) is not None if isinstance(table, re.Pattern) else name in table
 
 
 class ShapeMismatch(MsetError):

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BadParam, NonFiniteSample, NonPositiveDt, ShapeMismatch, finite, real, whole
+from .errors import BadParam, NonFiniteSample, NonPositiveDt, ShapeMismatch, finite, named, real, whole
 
 
 def _sample_interval(dt) -> float:
@@ -184,7 +184,7 @@ def gen(
             amplitude or frequency, non-positive width, a bad n or seed,
             unknown kind, or white_noise without a seed.
     """
-    if not isinstance(kind, str) or kind not in _WAVEFORMS:
+    if not named(kind, _WAVEFORMS):
         raise BadParam(f"unknown generator kind {kind!r}; expected one of {', '.join(GEN_KINDS)}")
     n = whole(n, "n", 1)
     dt = _sample_interval(dt)

@@ -128,19 +128,20 @@ def test_backends_agree():
 @pytest.mark.skipif(_core is None, reason="compiled backend not built")
 def test_lowpass_backends_identical():
     rng = np.random.default_rng(6)
-    x = rng.standard_normal(500)
-    a = _core.lowpass(x, 0.3)
-    b = _fallback.lowpass(x, 0.3)
+    x = rng.standard_normal((3, 500))
+    a, b = x.copy(), x.copy()
+    assert _core.lowpass(a, 0.3) is a and _fallback.lowpass(b, 0.3) is b
     assert np.array_equal(a, b)
 
 
 def test_lowpass_steps_toward_input():
-    x = np.ones(50)
-    y = _kernels.lowpass(x, 0.25)
-    assert y[0] == 0.25
-    assert np.all(np.diff(y) > 0)
-    assert y[-1] < 1.0
-    assert y[-1] == pytest.approx(1.0, abs=1e-5)
+    x = np.ones((2, 50))
+    assert _kernels.lowpass(x, 0.25) is x
+    for y in x:  # each row starts from rest
+        assert y[0] == 0.25
+        assert np.all(np.diff(y) > 0)
+        assert y[-1] < 1.0
+        assert y[-1] == pytest.approx(1.0, abs=1e-5)
 
 
 def test_xcorr_no_overlap_is_zero():
@@ -298,10 +299,16 @@ def test_compiled_xcorr_sums_beyond_int32_exactly(compiled, n, want):
 
 
 @settings(max_examples=100, deadline=None)
-@given(x=st.lists(st.floats(-1e6, 1e6), max_size=200), alpha=st.floats(0.0, 1.0))
-def test_compiled_lowpass_is_the_fallback(compiled, x, alpha):
-    x = np.array(x, dtype=np.float64)
-    assert np.array_equal(bits(compiled.lowpass(x, alpha)), bits(_fallback.lowpass(x, alpha)))
+@given(data=st.data(), alpha=st.floats(0.0, 1.0))
+def test_compiled_lowpass_is_the_fallback(compiled, data, alpha):
+    rows, n = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 70))
+    x = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=rows * n, max_size=rows * n)),
+                 dtype=np.float64).reshape(rows, n)
+    a, b = x.copy(), x.copy()
+    assert compiled.lowpass(a, alpha) is a and _fallback.lowpass(b, alpha) is b
+    assert np.array_equal(bits(a), bits(b))
+    for r in range(rows):  # each row is filtered on its own
+        assert np.array_equal(bits(compiled.lowpass(x[r : r + 1].copy(), alpha)), bits(a[r : r + 1]))
 
 
 def test_concurrent_calls_agree(compiled):
@@ -309,17 +316,18 @@ def test_concurrent_calls_agree(compiled):
     f, g = rng.standard_normal(3000), rng.standard_normal(2000)
     fw, gw = np.rint(100 * f), np.rint(100 * g)  # whole numbers
     x, steps = rng.standard_normal((20, 2000)), rng.integers(0, 50, 20)
-    calls = [
-        lambda: compiled.xcorr_common(f, g, -1999, 2999),
-        lambda: compiled.xcorr_common(fw, gw, -1999, 2999),
-        lambda: compiled.delayed_op("analog_switch", (x, x[:1], -x), steps, 0.0, 0.0),
+    calls = [  # each given the out of the thread that makes it
+        lambda out: compiled.xcorr_common(f, g, -1999, 2999),
+        lambda out: compiled.xcorr_common(fw, gw, -1999, 2999),
+        lambda out: compiled.delayed_op("analog_switch", (x, x[:1], -x), steps, 0.0, 0.0, out),
     ]
-    want = [bits(call()) for call in calls]
+    want = [bits(call(np.empty((20, 2000)))) for call in calls]
     results = []
 
     def work():
+        out = np.empty((20, 2000))
         for _ in range(3):
-            results.extend(np.array_equal(bits(call()), w) for call, w in zip(calls, want))
+            results.extend(np.array_equal(bits(call(out)), w) for call, w in zip(calls, want))
 
     threads = [threading.Thread(target=work) for _ in range(2)]
     for t in threads:
@@ -339,6 +347,11 @@ def test_compiled_rejects_arrays_it_cannot_read(compiled):
             compiled.xcorr_common(arr, good, 0, 1)
         with pytest.raises((TypeError, ValueError)):
             compiled.xcorr_common(good, arr, 0, 1)
+    # lowpass filters a writable C-contiguous (rows, n) float64 array in place
+    read_only = np.zeros((2, 4))
+    read_only.setflags(write=False)
+    for arr in [*(arr for arr in bad if np.ndim(arr) != 2), good.copy(), read_only,
+                np.zeros((2, 8))[:, ::2], np.zeros((2, 4), dtype=np.float32)]:
         with pytest.raises((TypeError, ValueError)):
             compiled.lowpass(arr, 0.5)
     with pytest.raises(ValueError):
@@ -360,9 +373,13 @@ def test_compiled_rejects_arrays_it_cannot_read(compiled):
         ("delay", rows[0], steps),  # not a sequence of arrays
         ("integrator", (rows,), steps),
     ]
-    for op, ins, delays in bad_ops:
+    for op, ins, delays in bad_ops:  # each with an out that the call could fill
         with pytest.raises((TypeError, ValueError)):
-            compiled.delayed_op(op, ins, delays, 1.0, -1.0)
+            compiled.delayed_op(op, ins, delays, 1.0, -1.0, np.zeros((len(delays), 4)))
+    out = np.zeros((2, 4))
+    assert compiled.delayed_op("delay", (rows,), steps, 1.0, -1.0, out) is out
+    with pytest.raises(TypeError):  # out is required
+        compiled.delayed_op("delay", (rows,), steps, 1.0, -1.0)
 
 
 # the simulator's elementwise behaviours and their input counts
@@ -375,7 +392,7 @@ DELAYED_OPS = {"delay": 1, "inverting_amp": 1, "comparator": 2, "equivalence_gat
 def test_compiled_delayed_op_is_the_fallback(compiled, data):
     op = data.draw(st.sampled_from(list(DELAYED_OPS)))
     rows, n = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 12))
-    # delays from 0 to past n, often all equal so that a shared row stays shared
+    # delays from 0 to past n, often all equal, with inputs of one row or len(steps) rows
     steps = data.draw(st.lists(st.integers(0, n + 3), min_size=rows, max_size=rows))
     steps = np.array(steps[:1] * rows if data.draw(st.booleans()) else steps, dtype=np.int64)
     ins = []
@@ -384,16 +401,14 @@ def test_compiled_delayed_op_is_the_fallback(compiled, data):
         ins.append(np.array(data.draw(st.lists(samples, min_size=k * n, max_size=k * n)), dtype=np.float64).reshape(k, n))
     # parameters near the float range's end make summer overflow to ±inf (and inf - inf)
     p, q = data.draw(samples), data.draw(samples)
-    with np.errstate(all="ignore"):  # numpy warns where the sums overflow; C does not
-        got, want = compiled.delayed_op(op, ins, steps, p, q), _fallback.delayed_op(op, ins, steps, p, q)
-    shared = all(len(x) == 1 for x in ins) and (steps == steps[0]).all()
-    assert got.shape == want.shape == (1 if shared else rows, n)
-    assert np.array_equal(bits(got), bits(want))
-    for impl in (compiled, _fallback):  # into a buffer of leftover bits, which every sample overwrites
-        out = np.full(want.shape, 0x7FF4DEADBEEF0000, dtype=np.uint64).view(np.float64)
-        with np.errstate(all="ignore"):
+    got = []
+    # into buffers of leftover bits, one pattern each, which every sample overwrites
+    for impl, leftover in ((compiled, 0x7FF4DEADBEEF0000), (_fallback, 0x7FF4FEEDFACE0000)):
+        out = np.full((len(steps), n), leftover, dtype=np.uint64).view(np.float64)
+        with np.errstate(all="ignore"):  # numpy warns where the sums overflow; C does not
             assert impl.delayed_op(op, ins, steps, p, q, out) is out
-        assert np.array_equal(bits(out), bits(want))
+        got.append(bits(out))
+    assert np.array_equal(*got)
 
 
 def test_delayed_op_rejects_an_out_it_cannot_fill(compiled):

@@ -2,7 +2,8 @@
 finiteness and peak contracts of the correlation layer, finite SVG
 coordinates, the whole-number and float parameters, the sign series as a
 signal, the input rules of the Signal, SimTrace, CorrelationResult, DSL and
-netlist constructors, and the netlist text round trip."""
+netlist constructors, the one rule for a name looked up in a table, and the
+netlist text round trip."""
 
 import dataclasses
 import math
@@ -45,6 +46,7 @@ from msetsig.circuit import (
     build_netlist,
     delay_sweep,
     format_netlist,
+    math_reference,
     parse_netlist,
     simulate,
 )
@@ -452,3 +454,56 @@ def test_every_component_params_round_trips_through_the_text_form(params, cutoff
         pass
     net = Netlist(("f",), comps, "out")
     assert parse_netlist(format_netlist(net)) == net
+
+
+def not_names(valid):
+    """Values that name nothing: non-strings, unhashable values, and 0-d and 1-d arrays, each
+    built from names the table holds where it can be."""
+    word = st.sampled_from(valid)
+    return st.one_of(
+        st.one_of(st.none(), st.integers(), st.floats(), word.map(str.encode)),
+        st.one_of(st.lists(word, max_size=2), st.dictionaries(word, st.integers(), max_size=1),
+                  st.sets(word, max_size=1)),
+        word.map(np.array),
+        st.lists(word, max_size=2).map(np.array),
+    )
+
+
+_SIG = Signal(1.0, 0.0, [1.0, -2.0, 3.0])
+_NET_KIND = dataclasses.replace(build_netlist("sign"), kind=None)
+
+# entry point -> (names its table holds, a call with the name, the MsetError it raises)
+NAME_SITES = {
+    "gen": (GEN_KINDS, lambda name: gen(name, 1.0, 4), errors.BadParam),
+    "cross_correlate kind": (("common", "classic"), lambda name: cross_correlate(_SIG, _SIG, name), errors.BadParam),
+    "cross_correlate mode": (("full", "valid"), lambda name: cross_correlate(_SIG, _SIG, "common", name),
+                             errors.BadMode),
+    "CorrelationResult mode": (("full", "valid"), lambda name: CorrelationResult(1.0, [0], [1.0], name),
+                               errors.BadParam),
+    "math_reference": (("sign", "absolute"), lambda name: math_reference(
+        dataclasses.replace(_NET_KIND, kind=name), {"f": _SIG}), errors.BadParam),
+    "build_netlist": (("sign", "union"), build_netlist, errors.BadParam),
+    "Component kind": (COMPONENT_KINDS, lambda name: Component(name, "o", ("f",)), errors.NetlistError),
+    "Component output": (("o", "x_1"), lambda name: Component("delay", name, ("f",)), errors.NetlistError),
+    "Netlist output": (("f", "gnd"), lambda name: Netlist(("f",), (), name), errors.NetlistError),
+    "SimTrace output": (("out",), lambda name: SimTrace(1.0, 0.0, {"out": [1.0]}, name), errors.BadParam),
+    "Var": (("f", "x_1"), Var, errors.BadParam),
+    "Unary": (("neg", "complement"), lambda name: Unary(name, Var("f")), errors.BadParam),
+    "Binary": (("add", "union"), lambda name: Binary(name, Var("f"), Var("g")), errors.BadParam),
+    "Call": (("sin", "abs"), lambda name: Call(name, Var("f")), errors.BadParam),
+}
+
+
+@pytest.mark.parametrize("site", NAME_SITES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_name_that_is_not_a_string_raises_the_sites_error(site, data):
+    valid, call, error = NAME_SITES[site]
+    for name in valid:  # the table's own names pass the name check
+        try:
+            call(name)
+        except errors.MsetError as exc:
+            assert repr(name) not in str(exc)
+    name = data.draw(not_names(valid))
+    with pytest.raises(error):
+        call(name)

@@ -11,6 +11,7 @@ from msetsig import Signal, _kernels, errors, gen
 from msetsig._kernels import _fallback
 from msetsig.circuit import (
     COMPONENT_KINDS,
+    GROUND,
     NETLIST_KINDS,
     Component,
     ComponentParams,
@@ -446,6 +447,18 @@ class TestAnalysis:
         assert a == b
 
 
+def rule_rows(net, delays, amps):
+    """Each component's rows for the given rows of delays and glitch amplitudes: one while its inputs
+    have one and its delays, and a switch's glitch amplitudes, are equal across the rows."""
+    delays, amps = np.broadcast_arrays(np.asarray(delays, dtype=float), np.asarray(amps, dtype=float))
+    rows = dict.fromkeys((*net.inputs, GROUND), 1)
+    for j, comp in enumerate(net.components):
+        varying = (delays[:, j], amps[:, j]) if comp.kind == "analog_switch" else (delays[:, j],)
+        one = all(rows[name] == 1 for name in comp.inputs) and all(len(set(v.tolist())) == 1 for v in varying)
+        rows[comp.output] = 1 if one else len(delays)
+    return [rows[comp.output] for comp in net.components]
+
+
 def oracle_sweep(net, inputs, spreads, n_seeds, seed):
     """delay_sweep one row at a time: simulate the netlist rebuilt with each
     seed's delays, as whole numbers of any size."""
@@ -537,18 +550,45 @@ class TestBatchedRows:
             live.add(comp.output)
             peak = max(peak, len(live))
             live -= {name for name in comp.inputs if last[name] == j}
-        buffers, calls, real = set(), [], _kernels.delayed_op
+        buffers, calls, switched, real = set(), [], [], _kernels.delayed_op
 
-        def spy(op, ins, steps, p, q, out=None):
+        def spy(op, ins, steps, p, q, out):
+            assert len(steps) == out.shape[0]
             buffers.add(id(out.base))
-            calls.append(len(steps))
+            calls.append((op, out))
             return real(op, ins, steps, p, q, out)
 
+        def glitches(comp, rows, *args):
+            switched.append(rows)
+            return sim._glitches(comp, rows, *args)
+
         monkeypatch.setattr(_kernels, "delayed_op", spy)
-        delay_sweep(net, bind(net, rng, n=50), range(6), n_seeds=7)
-        assert calls == [7] * (len(net.components) * 6)
+        monkeypatch.setitem(sim._BEHAVIOUR, "analog_switch", ("analog_switch", glitches))
+        inputs, k = bind(net, rng, n=50), len(net.components)
+        delay_sweep(net, inputs, range(6), n_seeds=7)
+        base = np.array([c.params.delay_samples for c in net.components], dtype=float)
+        directions = np.array([np.random.default_rng((0, i)).uniform(-1.0, 1.0, size=k) for i in range(7)])
+        want = [rows for spread in range(6)
+                for rows in rule_rows(net, np.maximum(0, np.rint(base + directions * spread)), [[0.2] * k])]
+        assert [len(out) for _, out in calls] == want and set(want) == {1, 7}
         assert peak < len(net.components)
         assert 1 < len(buffers) <= peak
+        self.assert_switches_glitch_the_rows_they_made(calls, switched)
+        for seen in (buffers, calls, switched):
+            seen.clear()
+        switching_noise_rms(net, inputs)  # a glitchy and a quiet row
+        want = rule_rows(net, [base], [[0.2] * k, [0.0] * k])
+        assert [len(out) for _, out in calls] == want and set(want) == {1, 2}
+        assert {len(out) for op, out in calls if op == "analog_switch"} == {2}
+        self.assert_switches_glitch_the_rows_they_made(calls, switched)
+        assert len(buffers) <= peak
+
+    @staticmethod
+    def assert_switches_glitch_the_rows_they_made(calls, switched):
+        """Each switch's glitches go into the very rows its delayed_op filled, which nothing widens."""
+        made = [out for op, out in calls if op == "analog_switch"]
+        assert len(made) == len(switched) > 0
+        assert all(a is b for a, b in zip(made, switched))
 
     @pytest.mark.parametrize("kind", ["intersection", "union", "absolute", "signify", "common_product"])
     def test_overflowing_error_raises_bad_param(self, kind):
